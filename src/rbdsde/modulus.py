@@ -11,6 +11,7 @@ horizon partition that control the Picard iteration.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -53,7 +54,21 @@ _LOGLOG_DELTA = math.exp(-3)
 
 
 class NonTerminationError(RuntimeError):
-    """Horizon partition failed to reach 0 within the segment cap."""
+    """Horizon partition failed to reach 0 within the segment cap.
+
+    ``breakpoints`` holds T = T_0 > T_1 > ... reached before the cap, and
+    ``last_breakpoint`` is its final entry at full precision (the message
+    rounds it to six significant digits).
+    """
+
+    def __init__(self, message: str, *, breakpoints):
+        super().__init__(message)
+        self.breakpoints = np.array(breakpoints, dtype=float)
+        self.last_breakpoint = float(self.breakpoints[-1])
+
+    def __reduce__(self):
+        # pickle rebuilds through __init__, which needs the breakpoints too
+        return functools.partial(type(self), breakpoints=self.breakpoints), self.args
 
 
 @dataclass(frozen=True)
@@ -66,6 +81,13 @@ class ModulusSpec:
     user-supplied (u, rho(u)) table linearly, extrapolating with the last
     segment slope.  ``z_lipschitz`` is the constant multiplying ||z1 - z2||^2
     in the f bound and ``alpha`` its counterpart in the g bound.
+
+    Every built-in variant ignores the time argument: rho(t, u) = rho(u).
+
+    The linear extension above the switch point (``delta``, or the last table
+    abscissa) is fixed at construction, and so is the tabulated variant's
+    table as read-only arrays.  These cached values take no part in equality
+    or hashing, which compare the declared fields.
     """
 
     variant: str
@@ -74,6 +96,12 @@ class ModulusSpec:
     table: tuple[tuple[float, float], ...] | None = None
     z_lipschitz: float = 1.0
     alpha: float = 0.5
+    # above _switch, rho(u) = _head + _kappa * (u - _switch); unused for lipschitz
+    _switch: float = field(default=math.inf, init=False, repr=False, compare=False)
+    _head: float = field(default=0.0, init=False, repr=False, compare=False)
+    _kappa: float = field(default=0.0, init=False, repr=False, compare=False)
+    _xs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _ys: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -82,22 +110,38 @@ class ModulusSpec:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.z_lipschitz <= 0:
             raise ValueError("z_lipschitz must be positive")
-        if self.variant == "lipschitz" and self.c_rho < 0:
-            raise ValueError("c_rho must be non-negative")
+        if self.variant == "lipschitz":
+            if self.c_rho < 0:
+                raise ValueError("c_rho must be non-negative")
+            return
+        delta = self.delta
         if self.variant == "log":
             # at delta = 1/e the extension slope is exactly 0 (flat), still
             # monotone and concave, so the switch point may sit there
-            if not 0 < self.delta <= math.exp(-1):
+            if not 0 < delta <= math.exp(-1):
                 raise ValueError("delta must lie in (0, 1/e]")
-        if self.variant == "loglog":
-            if not 0 < self.delta < math.exp(-1):
+            extension = (delta, delta * math.log(1.0 / delta), _kappa_log(delta))
+        elif self.variant == "loglog":
+            if not 0 < delta < math.exp(-1):
                 raise ValueError("delta must lie in (0, 1/e)")
-        if self.variant == "tabulated":
+            extension = (delta, delta * math.log(1.0 / delta) * math.log(math.log(1.0 / delta)),
+                         _kappa_loglog(delta))
+        else:
             if self.table is None or len(self.table) < 2:
                 raise ValueError("tabulated modulus needs at least two (u, rho) points")
             us = [p[0] for p in self.table]
             if us[0] < 0 or any(b <= a for a, b in zip(us, us[1:])):
                 raise ValueError("table abscissae must be non-negative and strictly increasing")
+            xs = np.array(us, dtype=float)
+            ys = np.array([p[1] for p in self.table], dtype=float)
+            xs.flags.writeable = False
+            ys.flags.writeable = False
+            object.__setattr__(self, "_xs", xs)
+            object.__setattr__(self, "_ys", ys)
+            extension = (float(xs[-1]), float(ys[-1]),
+                         float((ys[-1] - ys[-2]) / (xs[-1] - xs[-2])))
+        for name, value in zip(("_switch", "_head", "_kappa"), extension):
+            object.__setattr__(self, name, value)
 
 
 def lipschitz_modulus(c_rho: float = 1.0, *, z_lipschitz: float = 1.0, alpha: float = 0.5) -> ModulusSpec:
@@ -150,9 +194,29 @@ def _kappa_loglog(delta: float) -> float:
 def eval_modulus(spec: ModulusSpec, t: float, u):
     """Evaluate rho(t, u); ``u`` may be a scalar or an array, all entries >= 0.
 
-    The built-in variants do not depend on t (the argument is accepted for
-    interface uniformity and for tabulated time-dependent extensions).
+    Every built-in variant ignores t (the argument is accepted for interface
+    uniformity and for tabulated time-dependent extensions).  A float ``u``
+    (``np.float64`` included) takes a scalar path that skips the array
+    set-up and returns the same float as the array path, bit for bit: it
+    uses the same ``np.log`` and ``np.interp`` calls, not ``math.log``.
     """
+    if isinstance(u, float):
+        if u < 0:
+            raise ValueError("modulus argument u must be non-negative")
+        if spec.variant == "lipschitz":
+            return float(spec.c_rho * u)
+        if u > spec._switch:
+            return float(spec._head + spec._kappa * (u - spec._switch))
+        if spec.variant == "tabulated":
+            return float(np.interp(u, spec._xs, spec._ys))
+        if u == 0.0:
+            return 0.0
+        uc = max(u, 1e-300)
+        if spec.variant == "log":
+            return float(uc * np.log(1.0 / uc))
+        big_l = np.log(1.0 / uc)
+        return float(uc * big_l * np.log(big_l))
+
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0):
         raise ValueError("modulus argument u must be non-negative")
@@ -161,27 +225,15 @@ def eval_modulus(spec: ModulusSpec, t: float, u):
 
     if spec.variant == "lipschitz":
         out = spec.c_rho * u_arr
-    elif spec.variant == "log":
-        delta = spec.delta
-        uc = np.clip(u_arr, 1e-300, delta)
-        branch = uc * np.log(1.0 / uc)
-        head = delta * math.log(1.0 / delta)
-        out = np.where(u_arr <= delta, branch, head + _kappa_log(delta) * (u_arr - delta))
-        out = np.where(u_arr == 0.0, 0.0, out)
-    elif spec.variant == "loglog":
-        delta = spec.delta
-        uc = np.clip(u_arr, 1e-300, delta)
-        big_l = np.log(1.0 / uc)
-        branch = uc * big_l * np.log(big_l)
-        head = delta * math.log(1.0 / delta) * math.log(math.log(1.0 / delta))
-        out = np.where(u_arr <= delta, branch, head + _kappa_loglog(delta) * (u_arr - delta))
-        out = np.where(u_arr == 0.0, 0.0, out)
     else:
-        xs = np.array([p[0] for p in spec.table])
-        ys = np.array([p[1] for p in spec.table])
-        out = np.interp(u_arr, xs, ys)
-        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        out = np.where(u_arr > xs[-1], ys[-1] + slope * (u_arr - xs[-1]), out)
+        if spec.variant == "tabulated":
+            out = np.interp(u_arr, spec._xs, spec._ys)
+        else:
+            uc = np.clip(u_arr, 1e-300, spec.delta)
+            big_l = np.log(1.0 / uc)
+            out = uc * big_l if spec.variant == "log" else uc * big_l * np.log(big_l)
+            out = np.where(u_arr == 0.0, 0.0, out)
+        out = np.where(u_arr > spec._switch, spec._head + spec._kappa * (u_arr - spec._switch), out)
 
     return float(out[0]) if scalar else out
 
@@ -418,10 +470,16 @@ def constant_budgets(mu: float) -> Callable[[int, SegmentInfo | None], float]:
 
 
 def _time_integral(spec: ModulusSpec, u_const: float, a: float, b: float) -> float:
+    """Trapezoidal rho(., u_const) mass over [a, b] on 129 nodes.
+
+    Every built-in rho ignores t, so one evaluation fills all 129 nodes and
+    the trapezoid sum equals the one from evaluating at each node, bit for
+    bit.  A time-dependent variant must evaluate at each node again.
+    """
     if b <= a:
         return 0.0
     ts = np.linspace(a, b, 129)
-    ys = np.array([eval_modulus(spec, t, u_const) for t in ts])
+    ys = np.full(129, eval_modulus(spec, a, u_const))
     return float(np.trapezoid(ys, ts))
 
 
@@ -433,7 +491,9 @@ def horizon_partition(spec: ModulusSpec, M: float, budgets, T: float,
     M_p = 2 mu_0^p, and places T_p so that the rho(., M_p) mass over
     [T_p, T_{p-1}] equals mu_0^p / M (found by bisection at tolerance
     ``tol``).  When the remaining mass down to 0 is at most the target, the
-    segment closes at T_p = 0 and the partition terminates.
+    segment closes at T_p = 0 and the partition terminates.  After ``p_max``
+    segments without closing, raises ``NonTerminationError`` carrying the
+    breakpoints reached.
     """
     if M <= 0 or T <= 0:
         raise ValueError("M and T must be positive")
@@ -462,7 +522,8 @@ def horizon_partition(spec: ModulusSpec, M: float, budgets, T: float,
         prev = SegmentInfo(index=p, upper=top, lower=t_p, budget=mu, m_p=m_p)
     raise NonTerminationError(
         f"horizon partition did not reach 0 within {p_max} segments; "
-        f"last breakpoint {breakpoints[-1]:.6g} of horizon {T:.6g}")
+        f"last breakpoint {breakpoints[-1]:.6g} of horizon {T:.6g}",
+        breakpoints=breakpoints)
 
 
 def moment_bound_constant(c: float, C: float, alpha: float, T: float) -> float:

@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from rbdsde import modulus
 from rbdsde.modulus import (NonTerminationError, builtin_condition_a_fixtures,
                             condition_a_uniqueness_check, constant_budgets,
                             eval_modulus, horizon_partition, lipschitz_modulus,
@@ -13,6 +16,10 @@ from rbdsde.modulus import (NonTerminationError, builtin_condition_a_fixtures,
 from rbdsde.paths import build_grid
 
 LADDER = [10.0 ** (-k) for k in range(2, 13)]
+
+SPECS = {**{name: spec for name, (spec, _) in builtin_condition_a_fixtures().items()},
+         "log-0.1": log_modulus(0.1),
+         "small-table": tabulated_modulus([(0.0, 0.0), (1.0, 1.0), (2.0, 1.5)])}
 
 
 class TestEval:
@@ -38,6 +45,58 @@ class TestEval:
     def test_negative_argument(self):
         with pytest.raises(ValueError):
             eval_modulus(lipschitz_modulus(), 0.0, -1.0)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("u", [-1.0, np.float64(-1e-300)])
+    def test_negative_scalar_every_variant(self, name, u):
+        with pytest.raises(ValueError):
+            eval_modulus(SPECS[name], 0.0, u)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_scalar_path_matches_array_path_bitwise(self, name):
+        spec = SPECS[name]
+        if spec.table is not None:
+            nodes = [u for u, _ in spec.table]  # exactly on the table nodes
+            last = nodes[-1]
+        else:
+            nodes = [spec.delta, np.nextafter(spec.delta, 1.0)]  # the switch point
+            last = 16.0
+        us = np.concatenate([
+            [0.0, 5e-324, 1e-310, 1e-300, 0.3, 1.0],
+            nodes,
+            np.geomspace(1e-18, last, 300),  # interior
+            last * np.array([1.0 + 1e-15, 1.5, 4.0, 1e3]),  # beyond the table
+        ])
+        want = eval_modulus(spec, 0.0, us)
+        for kind in (float, np.float64):
+            got = [eval_modulus(spec, 0.0, kind(u)) for u in us]
+            assert all(type(v) is float for v in got)
+            assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64)), kind
+
+    def test_tabulated_equality_and_hash(self):
+        pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 1.5)]
+        a, b = tabulated_modulus(pts), tabulated_modulus(list(pts))
+        assert a == b and hash(a) == hash(b)
+        assert a != tabulated_modulus([(0.0, 0.0), (1.0, 1.0), (2.0, 1.6)])
+
+    def test_cached_table_is_read_only(self):
+        spec = tabulated_modulus([(0.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(ValueError):
+            spec._xs[1] = 2.0
+
+    def test_replace_rebuilds_cached_table(self):
+        spec = tabulated_modulus([(0.0, 0.0), (1.0, 1.0), (2.0, 1.5)])
+        new = dataclasses.replace(spec, table=((0.0, 0.0), (1.0, 2.0)))
+        assert np.array_equal(new._xs, [0.0, 1.0]) and np.array_equal(new._ys, [0.0, 2.0])
+        assert eval_modulus(new, 0.0, 0.5) == 1.0
+        assert eval_modulus(new, 0.0, 3.0) == 6.0  # last slope 2
+        assert np.array_equal(eval_modulus(new, 0.0, np.array([0.5, 3.0])), [1.0, 6.0])
+        assert eval_modulus(spec, 0.0, 3.0) == 2.0  # the original keeps its own table
+
+    def test_replace_moves_log_switch_point(self):
+        spec = dataclasses.replace(log_modulus(0.1), delta=0.01)
+        assert eval_modulus(spec, 0.0, 0.05) == eval_modulus(log_modulus(0.01), 0.0, 0.05)
+        assert eval_modulus(spec, 0.0, 0.05) != eval_modulus(log_modulus(0.1), 0.0, 0.05)
 
     def test_loglog_needs_small_delta(self):
         with pytest.raises(ValueError):
@@ -168,11 +227,66 @@ class TestHorizonPartition:
     def test_cap_exceeded(self):
         # shrinking budgets against a sqrt profile make the segment lengths
         # summable below the horizon, so the partition cannot close
-        us = np.geomspace(1e-16, 16.0, 257)
-        spec = tabulated_modulus(list(zip(us, np.sqrt(us))))
-        budgets = lambda p, prev: 4.0 ** (-p)
-        with pytest.raises(NonTerminationError):
-            horizon_partition(spec, M=1.0, budgets=budgets, T=2.0, p_max=60)
+        with pytest.raises(NonTerminationError) as info:
+            _sqrt_cap_partition()
+        err = info.value
+        assert len(err.breakpoints) == 61 and err.breakpoints[0] == 2.0
+        assert np.all(np.diff(err.breakpoints) < 0)
+        assert type(err.last_breakpoint) is float
+        assert err.last_breakpoint == err.breakpoints[-1]
+        # segment p has length 2^-p / sqrt(2) for the exact sqrt, so the
+        # breakpoints approach 2 - 1/sqrt(2); the geometric table's linear
+        # interpolation moves the limit by less than 5.3e-4
+        assert abs(err.last_breakpoint - (2.0 - 1.0 / math.sqrt(2.0))) < 5.3e-4
+        assert (f"last breakpoint {err.last_breakpoint:.6g} of horizon 2"
+                in str(err))
+        copy = pickle.loads(pickle.dumps(err))
+        assert str(copy) == str(err) and copy.last_breakpoint == err.last_breakpoint
+        assert np.array_equal(copy.breakpoints, err.breakpoints)
+
+
+def _sqrt_cap_partition():
+    us = np.geomspace(1e-16, 16.0, 257)
+    spec = tabulated_modulus(list(zip(us, np.sqrt(us))))
+    return horizon_partition(spec, M=1.0, budgets=lambda p, prev: 4.0 ** (-p),
+                             T=2.0, p_max=60)
+
+
+def _time_integral_per_node(spec, u_const, a, b):
+    # reference quadrature: rho evaluated afresh at each of the 129 nodes
+    if b <= a:
+        return 0.0
+    ts = np.linspace(a, b, 129)
+    ys = np.array([eval_modulus(spec, t, u_const) for t in ts])
+    return float(np.trapezoid(ys, ts))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_one_evaluation_time_integral_matches_per_node(name):
+    spec = SPECS[name]
+    for u_const in (0.0, 1e-9, 0.3, 2.0, 40.0):
+        for a, b in ((0.0, 1.0), (0.25, 0.3), (1.1, 2.9), (0.7, 0.7)):
+            got = modulus._time_integral(spec, u_const, a, b)
+            assert got == _time_integral_per_node(spec, u_const, a, b)
+
+
+def test_one_evaluation_partitions_are_bit_identical(monkeypatch):
+    cases = ((1.0, 1.0, 3.0), (50.0, 1.0, 0.5), (0.5, 0.7, 1.3))  # criterion 7
+
+    def run():
+        parts = [horizon_partition(lipschitz_modulus(c), M=1.0,
+                                   budgets=constant_budgets(budget), T=horizon)
+                 for c, budget, horizon in cases]
+        with pytest.raises(NonTerminationError) as info:
+            _sqrt_cap_partition()
+        return parts, info.value.last_breakpoint
+
+    fast, fast_last = run()
+    monkeypatch.setattr(modulus, "_time_integral", _time_integral_per_node)
+    slow, slow_last = run()
+    for a, b in zip(fast, slow):
+        assert np.array_equal(a, b)
+    assert fast_last == slow_last
 
 
 class TestMomentBound:
