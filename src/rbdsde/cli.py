@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .field import UnsupportedProblemError, evaluate_u_field, solve_doss_eta
+from .field import UnsupportedProblemError, monotone_field_sequence, solve_doss_eta
 from .forward import flow_continuity_test, simulate_forward
 from .generators import (builtin_problem, catalog_names, envelope_property_check,
                          expression_generator, shifted_problem)
@@ -96,7 +96,6 @@ class FieldConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    reports: tuple[str, ...] = ("solution", "diagnostics")
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,6 @@ class ExperimentConfig:
     solver: SolverSection = field(default_factory=SolverSection)
     field_eval: FieldConfig = field(default_factory=FieldConfig)
     outputs: OutputConfig = field(default_factory=OutputConfig)
-    threads: int = 1
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -147,8 +145,6 @@ class ExperimentConfig:
                           ("outputs", OutputConfig)):
             if name in data:
                 kwargs[name] = build(cls, data[name], name)
-        if "threads" in data:
-            kwargs["threads"] = int(data["threads"])
         return ExperimentConfig(**kwargs)
 
     @staticmethod
@@ -259,37 +255,38 @@ def cmd_field(cfg: ExperimentConfig) -> int:
     xs = np.linspace(fc.x_min, fc.x_max, fc.x_points)
     times = [grid.nodes[grid.index_of(t)] for t in fc.times]
     try:
-        sample = evaluate_u_field(problem, xs, times, noise, basis, solver_cfg)
-        envelopes = {}
-        for n in fc.envelope_n:
-            from .generators import lipschitz_envelope
-            lo = lipschitz_envelope(problem.generators, n, "lower")
-            up = lipschitz_envelope(problem.generators, n, "upper")
-            envelopes[n] = (
-                evaluate_u_field(dataclasses.replace(problem, generators=lo.as_generator()),
-                                 xs, times, noise, basis, solver_cfg),
-                evaluate_u_field(dataclasses.replace(problem, generators=up.as_generator()),
-                                 xs, times, noise, basis, solver_cfg),
-            )
+        rep = monotone_field_sequence(problem, fc.envelope_n, xs, times, noise, basis,
+                                      solver_cfg)
     except UnsupportedProblemError as e:
         print(f"unsupported problem: {e}", file=sys.stderr)
         return _EXIT_UNSUPPORTED
     out = _out_dir(cfg)
     _write_provenance(cfg, out)
 
-    header = ["t"] + [f"x{j}" for j in range(problem.dim)] + ["u"]
+    columns = [("u", rep.base)]
     for n in fc.envelope_n:
-        header += [f"u_lower_{n}", f"u_upper_{n}"]
+        columns += [(f"u_lower_{n}", rep.lower[n]), (f"u_upper_{n}", rep.upper[n])]
+    header = ["t"] + [f"x{j}" for j in range(problem.dim)] + [name for name, _ in columns]
     lines = [",".join(header)]
-    for a, t in enumerate(sample.time_nodes):
-        for j in range(len(sample.space_points)):
-            row = [_fmt(t)] + [_fmt(v) for v in sample.space_points[j]]
-            row.append(_fmt(sample.values[a, j]))
-            for n in fc.envelope_n:
-                lo, up = envelopes[n]
-                row += [_fmt(lo.values[a, j]), _fmt(up.values[a, j])]
+    for a, t in enumerate(rep.base.time_nodes):
+        for j, x in enumerate(rep.base.space_points):
+            row = [_fmt(t)] + [_fmt(v) for v in x]
+            row += [_fmt(sample.values[a, j]) for _, sample in columns]
             lines.append(",".join(row))
     (out / "field.csv").write_text("\n".join(lines) + "\n")
+
+    stuck = [(name, t, x) for name, sample in dict(columns).items()
+             for t, x in sample.provenance["non_converged"]]
+    stuck_csv = out / "field_nonconverged.csv"
+    stuck_csv.unlink(missing_ok=True)
+    if stuck:
+        for name, t, x in stuck:
+            print(f"{name} did not converge at t={_fmt(t)}, x0={_fmt(x)}", file=sys.stderr)
+        stuck_csv.write_text("\n".join(["field,t,x0"] + [f"{name},{_fmt(t)},{_fmt(x)}"
+                                                       for name, t, x in stuck]) + "\n")
+        print(f"{len(stuck)} field points did not converge; field written to "
+              f"{out / 'field.csv'}, points listed in {stuck_csv}", file=sys.stderr)
+        return _EXIT_NOCONV
     print(f"field written to {out / 'field.csv'}")
     return _EXIT_OK
 
@@ -454,8 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degree", type=int, default=None, help="basis degree")
         p.add_argument("--bins", type=int, default=None, help="basis bins")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (results are independent of it)")
 
     p_solve = sub.add_parser("solve", help="run the backward solver")
     common(p_solve)
@@ -484,6 +479,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command-line flag -> (config section, field); flags a subcommand lacks are skipped
+_FLAG_FIELDS = {
+    "problem": ("problem", "name"),
+    "T": ("grid", "T"), "N": ("grid", "N"),
+    "paths": ("monte_carlo", "paths"), "seed": ("monte_carlo", "seed"),
+    "basis": ("basis", "kind"), "degree": ("basis", "degree"), "bins": ("basis", "bins"),
+    "out": ("outputs", "directory"),
+    "x_min": ("field_eval", "x_min"), "x_max": ("field_eval", "x_max"),
+    "x_points": ("field_eval", "x_points"), "times": ("field_eval", "times"),
+    "envelope_n": ("field_eval", "envelope_n"),
+}
+
+
 def _load_config(args) -> ExperimentConfig:
     if args.config is not None:
         try:
@@ -498,41 +506,13 @@ def _load_config(args) -> ExperimentConfig:
     else:
         cfg = ExperimentConfig()
 
-    problem = cfg.problem if args.problem is None else dataclasses.replace(
-        cfg.problem, name=args.problem)
-    grid = cfg.grid
-    if args.T is not None:
-        grid = dataclasses.replace(grid, T=args.T)
-    if args.N is not None:
-        grid = dataclasses.replace(grid, N=args.N)
-    mc = cfg.monte_carlo
-    if args.paths is not None:
-        mc = dataclasses.replace(mc, paths=args.paths)
-    if args.seed is not None:
-        mc = dataclasses.replace(mc, seed=args.seed)
-    basis = cfg.basis
-    if args.basis is not None:
-        basis = dataclasses.replace(basis, kind=args.basis)
-    if args.degree is not None:
-        basis = dataclasses.replace(basis, degree=args.degree)
-    if getattr(args, "bins", None) is not None:
-        basis = dataclasses.replace(basis, bins=args.bins)
-    outputs = cfg.outputs
-    if args.out is not None:
-        outputs = dataclasses.replace(outputs, directory=args.out)
-    fld = cfg.field_eval
-    for flag, name in (("x_min", "x_min"), ("x_max", "x_max"), ("x_points", "x_points")):
+    changes: dict[str, dict] = {}
+    for flag, (section, name) in _FLAG_FIELDS.items():
         val = getattr(args, flag, None)
         if val is not None:
-            fld = dataclasses.replace(fld, **{name: val})
-    if getattr(args, "times", None) is not None:
-        fld = dataclasses.replace(fld, times=tuple(args.times))
-    if getattr(args, "envelope_n", None) is not None:
-        fld = dataclasses.replace(fld, envelope_n=tuple(args.envelope_n))
-    threads = cfg.threads if args.threads is None else args.threads
-    return ExperimentConfig(problem=problem, grid=grid, monte_carlo=mc, basis=basis,
-                            solver=cfg.solver, field_eval=fld, outputs=outputs,
-                            threads=threads)
+            changes.setdefault(section, {})[name] = tuple(val) if isinstance(val, list) else val
+    return dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), **kw)
+                                       for section, kw in changes.items()})
 
 
 def main(argv=None) -> int:

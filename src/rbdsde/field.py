@@ -208,7 +208,8 @@ def monotone_field_sequence(problem: ProblemSpec, n_values, space_points, times,
                             u_step: float = 1e-3,
                             local_lipschitz: float = 1.0) -> MonotoneFieldReport:
     """Fields from the lower/upper envelope generators for each n, with the
-    base field, monotonicity counts and the bracket containment check."""
+    base field, monotonicity counts and the bracket containment check.  An
+    empty ``n_values`` gives the base field alone."""
     n_values = tuple(sorted(int(n) for n in n_values))
     base = evaluate_u_field(problem, space_points, times, noise, basis, cfg)
     lower: dict[int, FieldSample] = {}
@@ -243,15 +244,17 @@ def monotone_field_sequence(problem: ProblemSpec, n_values, space_points, times,
                       for n in n_values])
     widths_mono = bool(np.all(widths[1:] <= widths[:-1] + slack[1:] + slack[:-1]))
 
-    n_top = n_values[-1]
-    tol = 3.0 * (base.stderr + lower[n_top].stderr) + fslack[n_top]
-    ok_low = np.all(base.values >= lower[n_top].values - tol)
-    tol = 3.0 * (base.stderr + upper[n_top].stderr) + fslack[n_top]
-    ok_up = np.all(base.values <= upper[n_top].values + tol)
+    within = True
+    if n_values:
+        n_top = n_values[-1]
+        tol = 3.0 * (base.stderr + lower[n_top].stderr) + fslack[n_top]
+        within = bool(np.all(base.values >= lower[n_top].values - tol))
+        tol = 3.0 * (base.stderr + upper[n_top].stderr) + fslack[n_top]
+        within &= bool(np.all(base.values <= upper[n_top].values + tol))
 
     return MonotoneFieldReport(
         n_values=n_values, base=base, lower=lower, upper=upper,
         lower_monotone_violations=lo_viol, upper_monotone_violations=up_viol,
         bracket_widths=widths, grid_tols=np.array([gtol[n] for n in n_values]),
         widths_non_increasing=widths_mono,
-        base_within_bracket=bool(ok_low and ok_up))
+        base_within_bracket=within)

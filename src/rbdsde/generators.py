@@ -581,9 +581,12 @@ def envelope_property_check(base: GeneratorSpec, n_values, *, horizon: float = 1
     xs = rng.normal(0.0, 1.0, size=(num_points, dim))
     ys = rng.normal(0.0, y_scale, size=num_points)
     zs = rng.normal(0.0, 1.0, size=(num_points, dim))
+    perm = rng.permutation(num_points)  # shuffled (x, y) partners
+    z2 = rng.normal(0.0, 1.0, size=(num_points, dim))  # second z draws
     f_vals = base.f(t, xs, ys, zs)
 
-    lowers, uppers, lo_hits, up_hits = {}, {}, {}, {}
+    # each envelope is built once and dropped once its values are taken
+    lowers, uppers, lo_hits, up_hits, xy_moved, z_moved = {}, {}, {}, {}, {}, {}
     for n in n_values:
         lo = lipschitz_envelope(base, n, "lower", u_range=u_range, u_step=u_step,
                                 local_lipschitz=local_lipschitz)
@@ -591,6 +594,8 @@ def envelope_property_check(base: GeneratorSpec, n_values, *, horizon: float = 1
                                 local_lipschitz=local_lipschitz)
         lowers[n], lo_hits[n] = lo.evaluate(t, xs, ys, zs, return_boundary=True)
         uppers[n], up_hits[n] = up.evaluate(t, xs, ys, zs, return_boundary=True)
+        xy_moved[n] = lo.evaluate(t, xs[perm], ys[perm], zs, return_boundary=True)
+        z_moved[n] = lo.evaluate(t, xs, ys, z2, return_boundary=True)
     grid_tol = {n: (n + local_lipschitz) * (2.0 * u_range / (len(lo.u_nodes) - 1)) for n in n_values}
     any_hit = np.zeros(num_points, dtype=bool)
     for n in n_values:
@@ -624,24 +629,18 @@ def envelope_property_check(base: GeneratorSpec, n_values, *, horizon: float = 1
         growth &= gated(np.abs(uppers[n]) - lin - grid_tol[n], up_hits[n])
 
     # n-Lipschitz in (x, y): pair each point with a shuffled partner
-    perm = rng.permutation(num_points)
     xy_ok = True
     for n in n_values:
-        lo = lipschitz_envelope(base, n, "lower", u_range=u_range, u_step=u_step,
-                                local_lipschitz=local_lipschitz)
-        v2, h2 = lo.evaluate(t, xs[perm], ys[perm], zs, return_boundary=True)
+        v2, h2 = xy_moved[n]
         move = np.abs(xs[:, 0] - xs[perm, 0]) + np.abs(ys - ys[perm])
         xy_ok &= gated(np.abs(lowers[n] - v2) - n * move - 2.0 * grid_tol[n],
                        lo_hits[n] | h2)
 
     # C-Lipschitz^2 in z, checked in the equivalent square-root form so the
     # grid error enters as an additive slack
-    z2 = rng.normal(0.0, 1.0, size=(num_points, dim))
     z_ok = True
     for n in n_values:
-        lo = lipschitz_envelope(base, n, "lower", u_range=u_range, u_step=u_step,
-                                local_lipschitz=local_lipschitz)
-        v2, h2 = lo.evaluate(t, xs, ys, z2, return_boundary=True)
+        v2, h2 = z_moved[n]
         dz = np.sqrt(np.sum((zs - z2) ** 2, axis=1))
         z_ok &= gated(np.abs(lowers[n] - v2) - math.sqrt(base.z_lipschitz) * dz
                       - 2.0 * grid_tol[n], lo_hits[n] | h2)

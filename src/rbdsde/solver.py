@@ -38,7 +38,6 @@ __all__ = [
     "GeneratorEvaluationError",
     "ComparisonSetupError",
     "RegressionBasis",
-    "design_matrix",
     "regress_conditional",
     "SolverConfig",
     "SolutionTriple",
@@ -139,30 +138,6 @@ def _bin_ids(state: np.ndarray, bins: int, domain) -> np.ndarray:
     return ids
 
 
-def design_matrix(basis: RegressionBasis, state: np.ndarray) -> np.ndarray:
-    """Dense design matrix of the basis at the sampled states, shape (M, K).
-
-    Binned bases are solved blockwise inside the solver; this dense form is
-    the reference for normal-equation cross-checks.
-    """
-    state = np.asarray(state, dtype=float)
-    if state.ndim != 2:
-        raise ValueError("state must have shape (M, d)")
-    if basis.kind == "polynomial":
-        return _monomials(_standardize(state), basis.degree)
-    ids = _bin_ids(state, basis.bins, basis.domain)
-    occupied = np.unique(ids)
-    if basis.kind == "piecewise-constant":
-        return (ids[:, None] == occupied[None, :]).astype(float)
-    local = _monomials(_standardize(state), basis.degree)
-    cols = []
-    for b in occupied:
-        mask = (ids == b).astype(float)
-        for j in range(local.shape[1]):
-            cols.append(mask * local[:, j])
-    return np.column_stack(cols)
-
-
 class _Design:
     """Per-node regression context, built once and reused across targets.
 
@@ -260,8 +235,6 @@ class SolverConfig:
     picard_max_iter: int = 12
     ridge: float = 1e-8
     z_scheme: str = "regression"
-    g_time_point: str = "right-endpoint"
-    reflection: str = "post-expectation-max"
 
     def __post_init__(self):
         if self.picard_tol <= 0:
@@ -272,10 +245,6 @@ class SolverConfig:
             raise ValueError("ridge must be >= 0")
         if self.z_scheme not in ("regression", "finite-increment"):
             raise ValueError(f"unknown z_scheme {self.z_scheme!r}")
-        if self.g_time_point != "right-endpoint":
-            raise ValueError("only right-endpoint g evaluation is supported")
-        if self.reflection != "post-expectation-max":
-            raise ValueError("only post-expectation-max reflection is supported")
 
 
 @dataclass(frozen=True, eq=False)

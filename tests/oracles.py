@@ -2,9 +2,12 @@
 
 These deliberately take different numerical routes from the package code:
 the binomial tree prices optimal stopping on a lattice, the plain backward
-scheme below runs its regressions through an SVD least-squares solve, and
-the envelope oracle scans the grid point by point.
+scheme below runs its regressions through an SVD least-squares solve, the
+dense design matrix spells out every basis column, and the envelope oracle
+scans the grid point by point.
 """
+
+import itertools
 
 import numpy as np
 
@@ -32,6 +35,31 @@ def _lstsq_fit(state, degree, values):
     phi = np.column_stack(cols)
     coef, *_ = np.linalg.lstsq(phi, values, rcond=None)
     return phi @ coef
+
+
+def design_matrix(basis, state):
+    """Dense design matrix of a regression basis at the sampled states, (M, K).
+
+    The solver never forms it (binned bases are solved bin by bin); this is
+    the reference for normal-equation cross-checks.  Bins follow the sample
+    quantiles, so ``basis.domain`` must be unset.
+    """
+    assert basis.domain is None
+    state = np.asarray(state, dtype=float)
+    m, d = state.shape
+    sd = state.std(axis=0)
+    s = (state - state.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
+    powers = [p for p in itertools.product(range(basis.degree + 1), repeat=d)
+              if sum(p) <= basis.degree]
+    mono = np.column_stack([np.prod(s ** np.array(p), axis=1) for p in powers])
+    if basis.kind == "polynomial":
+        return mono
+    ids = np.zeros(m, dtype=int)
+    for j in range(d):
+        edges = np.quantile(state[:, j], np.linspace(0.0, 1.0, basis.bins + 1)[1:-1])
+        ids = ids * basis.bins + np.digitize(state[:, j], edges)
+    local = np.ones((m, 1)) if basis.kind == "piecewise-constant" else mono
+    return np.hstack([(ids == b)[:, None] * local for b in np.unique(ids)])
 
 
 def plain_bsde_reference(problem, forward, noise, degree):

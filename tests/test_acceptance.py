@@ -290,12 +290,24 @@ def test_criterion_12_determinism(tmp_path):
                   "--N", "10", "--paths", "500", "--seed", "3",
                   "--x-min", "90", "--x-max", "110", "--x-points", "3",
                   "--times", "0.0"]
-    for i, extra in enumerate(([], [], ["--threads", "8"])):
-        assert cli_main(solve_args + extra + ["--out", str(tmp_path / f"s{i}")]) == 0
-        assert cli_main(field_args + extra + ["--out", str(tmp_path / f"f{i}")]) == 0
+    # the third run reads the same experiment from a config file
+    solve_cfg = tmp_path / "solve.json"
+    solve_cfg.write_text(json.dumps({"problem": {"name": "lipschitz-linear"},
+                                     "grid": {"N": 20},
+                                     "monte_carlo": {"paths": 2000, "seed": 11}}))
+    field_cfg = tmp_path / "field.json"
+    field_cfg.write_text(json.dumps({
+        "problem": {"name": "american-put-like"}, "grid": {"T": 0.5, "N": 10},
+        "monte_carlo": {"paths": 500, "seed": 3},
+        "field_eval": {"x_min": 90, "x_max": 110, "x_points": 3, "times": [0.0]}}))
+    runs = ((solve_args, field_args), (solve_args, field_args),
+            (["solve", "--config", str(solve_cfg)], ["field", "--config", str(field_cfg)]))
+    for i, (solve, fld) in enumerate(runs):
+        assert cli_main(solve + ["--out", str(tmp_path / f"s{i}")]) == 0
+        assert cli_main(fld + ["--out", str(tmp_path / f"f{i}")]) == 0
     run_bytes = [(tmp_path / f"s{i}" / "run.csv").read_bytes() for i in range(3)]
     field_bytes = [(tmp_path / f"f{i}" / "field.csv").read_bytes() for i in range(3)]
     ok = (run_bytes[0] == run_bytes[1] == run_bytes[2]
           and field_bytes[0] == field_bytes[1] == field_bytes[2])
     report("criterion-12 determinism", ok,
-           "byte-identical CSVs across reruns and thread caps")
+           "byte-identical CSVs across reruns and the config-file route")

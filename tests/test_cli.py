@@ -1,10 +1,17 @@
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rbdsde.cli import (BasisConfig, ExperimentConfig, GridConfig, MonteCarloConfig,
-                        ProblemConfig, main)
+                        ProblemConfig, _build_parser, main)
+from rbdsde.field import evaluate_u_field
+from rbdsde.generators import builtin_problem, lipschitz_envelope
+from rbdsde.paths import build_grid, sample_noise
+from rbdsde.solver import RegressionBasis, SolverConfig
 
 
 def run(args, monkeypatch, tmp_path, out="out"):
@@ -35,6 +42,19 @@ class TestConfig:
     def test_unknown_top_level_rejected(self):
         with pytest.raises(Exception):
             ExperimentConfig.parse(json.dumps({"grids": {}}))
+
+    @pytest.mark.parametrize("cfg, name", [({"threads": 4}, "threads"),
+                                           ({"outputs": {"reports": ["solution"]}}, "reports")])
+    def test_removed_settings_rejected(self, cfg, name, tmp_path, monkeypatch, capsys):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(cfg))
+        assert run(["solve", "--config", str(f)], monkeypatch, tmp_path) == 2
+        assert repr(name) in capsys.readouterr().err
+
+    def test_threads_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(["solve", "--threads", "4"])
+        assert exc.value.code == 2
 
 
 class TestSolveCommand:
@@ -87,12 +107,15 @@ class TestSolveCommand:
         prov = json.loads((tmp_path / "out" / "provenance.json").read_text())
         assert prov["seed"] == 5
 
-    def test_byte_identical_reruns_and_thread_flag(self, tmp_path, monkeypatch):
+    def test_byte_identical_reruns_and_config_route(self, tmp_path, monkeypatch):
         args = ["solve", "--problem", "lipschitz-linear", "--N", "16",
                 "--paths", "1000", "--seed", "11"]
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"problem": {"name": "lipschitz-linear"}, "grid": {"N": 16},
+                                 "monte_carlo": {"paths": 1000, "seed": 11}}))
         assert run(args, monkeypatch, tmp_path, out="a") == 0
         assert run(args, monkeypatch, tmp_path, out="b") == 0
-        assert run(args + ["--threads", "4"], monkeypatch, tmp_path, out="c") == 0
+        assert run(["solve", "--config", str(f)], monkeypatch, tmp_path, out="c") == 0
         a = (tmp_path / "a" / "run.csv").read_bytes()
         assert a == (tmp_path / "b" / "run.csv").read_bytes()
         assert a == (tmp_path / "c" / "run.csv").read_bytes()
@@ -114,6 +137,43 @@ class TestFieldCommand:
         code = run(["field", "--problem", "paper-1-4", "--N", "8", "--paths", "200"],
                    monkeypatch, tmp_path)
         assert code == 4
+
+    def test_envelope_columns_in_requested_order(self, tmp_path, monkeypatch):
+        code = run(["field", "--problem", "lipschitz-linear", "--N", "8", "--paths", "400",
+                    "--seed", "5", "--x-points", "3", "--envelope-n", "8", "4"],
+                   monkeypatch, tmp_path)
+        assert code == 0
+        lines = (tmp_path / "out" / "field.csv").read_text().splitlines()
+        assert lines[0] == "t,x0,u,u_lower_8,u_upper_8,u_lower_4,u_upper_4"
+        problem = builtin_problem("lipschitz-linear", horizon=1.0)
+        noise = sample_noise(build_grid(1.0, 8), 400, d=problem.dim,
+                             ell=problem.generators.ell, seed=5)
+        basis = RegressionBasis(kind="local-polynomial", degree=1, bins=16)
+        expected = []
+        for n in (8, 4):
+            for direction in ("lower", "upper"):
+                env = lipschitz_envelope(problem.generators, n, direction)
+                sample = evaluate_u_field(
+                    dataclasses.replace(problem, generators=env.as_generator()),
+                    np.linspace(-1.0, 1.0, 3), [0.0], noise, basis, SolverConfig())
+                expected.append([repr(float(v)) for v in sample.values[0]])
+        columns = [list(c) for c in zip(*(line.split(",")[3:] for line in lines[1:]))]
+        assert columns == expected
+
+    def test_non_convergence_exit_and_list(self, tmp_path, monkeypatch, capsys):
+        cfg = {"problem": {"name": "lipschitz-linear"}, "grid": {"N": 8},
+               "monte_carlo": {"paths": 300, "seed": 3}, "solver": {"picard_max_iter": 1},
+               "field_eval": {"x_points": 2, "times": [0.0, 1.0]}}
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(cfg))
+        assert run(["field", "--config", str(f)], monkeypatch, tmp_path) == 3
+        out = tmp_path / "out"
+        assert len((out / "field.csv").read_text().splitlines()) == 5
+        # terminal points are exact and never iterate
+        assert (out / "field_nonconverged.csv").read_text().splitlines() == [
+            "field,t,x0", "u,0.0,-1.0", "u,0.0,1.0"]
+        err = capsys.readouterr().err
+        assert "t=0.0, x0=-1.0" in err and "t=0.0, x0=1.0" in err
 
     def test_determinism(self, tmp_path, monkeypatch):
         args = ["field", "--problem", "american-put-like", "--T", "0.5", "--N", "10",
@@ -164,3 +224,13 @@ class TestEnvOverride:
         assert code == 0
         assert (tmp_path / "env_dir" / "run.csv").exists()
         assert not (tmp_path / "flag_dir").exists()
+
+
+def test_readme_command_lines_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = [line.split("#", 1)[0] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("rbdsde ")]
+    assert len(commands) >= 4
+    for line in commands:
+        _build_parser().parse_args(shlex.split(line)[1:])

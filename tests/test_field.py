@@ -133,6 +133,17 @@ class TestDoss:
 
 
 class TestMonotoneFields:
+    def test_empty_n_values_gives_base_field(self):
+        p = builtin_problem("lipschitz-linear")
+        grid = build_grid(1.0, 10)
+        noise = sample_noise(grid, 500, seed=43)
+        rep = monotone_field_sequence(p, [], [0.0, 0.5], [0.0], noise, BASIS, CFG)
+        base = evaluate_u_field(p, [0.0, 0.5], [0.0], noise, BASIS, CFG)
+        assert np.array_equal(rep.base.values, base.values)
+        assert np.array_equal(rep.base.stderr, base.stderr)
+        assert rep.n_values == () and rep.lower == {} and rep.upper == {}
+        assert rep.base_within_bracket and rep.widths_non_increasing
+
     def test_lipschitz_base_fields_coincide(self):
         # f already Lipschitz below min(n): envelopes equal f, fields agree
         p = builtin_problem("lipschitz-linear", b_coef=0.0)

@@ -171,6 +171,18 @@ class TestEnvelope:
         assert rep.all_pass
         assert rep.boundary_flagged == 0
 
+    def test_property_check_builds_each_envelope_once(self, monkeypatch):
+        built = []
+
+        def counting(base, n, direction, **kwargs):
+            built.append((n, direction))
+            return lipschitz_envelope(base, n, direction, **kwargs)
+
+        monkeypatch.setattr("rbdsde.generators.lipschitz_envelope", counting)
+        p = builtin_problem("paper-1-4")
+        envelope_property_check(p.generators, [4, 8, 16], num_points=200, u_range=10.0)
+        assert sorted(built) == sorted((n, d) for n in (4, 8, 16) for d in ("lower", "upper"))
+
     def test_truncation_flagged_not_failed(self):
         # an unbounded-below profile drives the optimizer to the grid edge;
         # the report must flag range truncation instead of failing properties

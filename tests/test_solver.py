@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import implicit_linear_reference, plain_bsde_reference
+from oracles import design_matrix, implicit_linear_reference, plain_bsde_reference
 from rbdsde.forward import simulate_forward
 from rbdsde.generators import GeneratorSpec, builtin_problem, shifted_problem
 from rbdsde.modulus import lipschitz_modulus, majorant_sequence
@@ -12,9 +12,9 @@ from rbdsde.paths import ProcessSample, build_grid, sample_noise
 from rbdsde.solver import (ComparisonSetupError, GeneratorEvaluationError,
                            MajorantGapReport, RegressionBasis, SingularRegressionError,
                            SolutionTriple, SolverConfig, comparison_experiment,
-                           design_matrix, majorant_inputs, obstacle_values,
-                           picard_gap_vs_majorant, picard_solve, regress_conditional,
-                           skorokhod_residual, solve_frozen_rbdsde)
+                           majorant_inputs, obstacle_values, picard_gap_vs_majorant,
+                           picard_solve, regress_conditional, skorokhod_residual,
+                           solve_frozen_rbdsde)
 
 BASIS = RegressionBasis(kind="local-polynomial", bins=8, degree=1)
 
@@ -78,8 +78,6 @@ class TestConfig:
             SolverConfig(picard_max_iter=0)
         with pytest.raises(ValueError):
             SolverConfig(z_scheme="implicit")
-        with pytest.raises(ValueError):
-            SolverConfig(reflection="penalization")
 
 
 class TestBackwardScheme:
