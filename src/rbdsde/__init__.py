@@ -13,7 +13,7 @@ from .modulus import (ModulusSpec, eval_modulus, verify_modulus_axioms,
 from .generators import (GeneratorSpec, ProblemSpec, builtin_problem,
                          lipschitz_envelope, envelope_property_check)
 from .forward import ForwardEnsemble, simulate_forward, flow_continuity_test
-from .solver import (RegressionBasis, SolverConfig, SolutionTriple,
+from .solver import (RegressionBasis, RegressionPlan, SolverConfig, SolutionTriple,
                      regress_conditional, solve_frozen_rbdsde, picard_solve,
                      skorokhod_residual, comparison_experiment)
 from .field import (FieldSample, DossTransform, evaluate_u_field,
@@ -29,7 +29,8 @@ __all__ = [
     "GeneratorSpec", "ProblemSpec", "builtin_problem", "lipschitz_envelope",
     "envelope_property_check",
     "ForwardEnsemble", "simulate_forward", "flow_continuity_test",
-    "RegressionBasis", "SolverConfig", "SolutionTriple", "regress_conditional",
+    "RegressionBasis", "RegressionPlan", "SolverConfig", "SolutionTriple",
+    "regress_conditional",
     "solve_frozen_rbdsde", "picard_solve", "skorokhod_residual",
     "comparison_experiment",
     "FieldSample", "DossTransform", "evaluate_u_field", "solve_doss_eta",

@@ -31,10 +31,9 @@ from .forward import flow_continuity_test, simulate_forward
 from .generators import (builtin_problem, catalog_names, envelope_property_check,
                          expression_generator, shifted_problem)
 from .modulus import builtin_condition_a_fixtures, condition_a_uniqueness_check
-from .paths import build_grid, sample_noise
+from .paths import build_grid, empirical_norm, sample_noise
 from .solver import (RegressionBasis, SolverConfig, comparison_experiment,
                      obstacle_values, picard_solve, skorokhod_residual)
-from .paths import empirical_norm
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -77,14 +76,6 @@ class BasisConfig:
 
 
 @dataclass(frozen=True)
-class SolverSection:
-    picard_tol: float = 1e-4
-    picard_max_iter: int = 12
-    ridge: float = 1e-8
-    z_scheme: str = "regression"
-
-
-@dataclass(frozen=True)
 class FieldConfig:
     x_min: float = -1.0
     x_max: float = 1.0
@@ -104,7 +95,7 @@ class ExperimentConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     monte_carlo: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     basis: BasisConfig = field(default_factory=BasisConfig)
-    solver: SolverSection = field(default_factory=SolverSection)
+    solver: SolverConfig = field(default_factory=SolverConfig)
     field_eval: FieldConfig = field(default_factory=FieldConfig)
     outputs: OutputConfig = field(default_factory=OutputConfig)
 
@@ -141,7 +132,7 @@ class ExperimentConfig:
         kwargs = {}
         for name, cls in (("problem", ProblemConfig), ("grid", GridConfig),
                           ("monte_carlo", MonteCarloConfig), ("basis", BasisConfig),
-                          ("solver", SolverSection), ("field_eval", FieldConfig),
+                          ("solver", SolverConfig), ("field_eval", FieldConfig),
                           ("outputs", OutputConfig)):
             if name in data:
                 kwargs[name] = build(cls, data[name], name)
@@ -182,10 +173,7 @@ def _assemble(cfg: ExperimentConfig):
                          b_stream=cfg.monte_carlo.b_stream)
     basis = RegressionBasis(kind=cfg.basis.kind, degree=cfg.basis.degree,
                             bins=cfg.basis.bins)
-    solver_cfg = SolverConfig(picard_tol=cfg.solver.picard_tol,
-                              picard_max_iter=cfg.solver.picard_max_iter,
-                              ridge=cfg.solver.ridge, z_scheme=cfg.solver.z_scheme)
-    return problem, grid, noise, basis, solver_cfg
+    return problem, grid, noise, basis
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -211,9 +199,9 @@ def _fmt(x: float) -> str:
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
-    problem, grid, noise, basis, solver_cfg = _assemble(cfg)
+    problem, grid, noise, basis = _assemble(cfg)
     fwd = simulate_forward(problem, 0.0, problem.spot, noise)
-    sol, iterations, history = picard_solve(problem, fwd, noise, basis, solver_cfg)
+    sol, iterations, history = picard_solve(problem, fwd, noise, basis, cfg.solver)
     out = _out_dir(cfg)
     _write_provenance(cfg, out)
 
@@ -250,13 +238,13 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 
 def cmd_field(cfg: ExperimentConfig) -> int:
-    problem, grid, noise, basis, solver_cfg = _assemble(cfg)
+    problem, grid, noise, basis = _assemble(cfg)
     fc = cfg.field_eval
     xs = np.linspace(fc.x_min, fc.x_max, fc.x_points)
     times = [grid.nodes[grid.index_of(t)] for t in fc.times]
     try:
         rep = monotone_field_sequence(problem, fc.envelope_n, xs, times, noise, basis,
-                                      solver_cfg)
+                                      cfg.solver)
     except UnsupportedProblemError as e:
         print(f"unsupported problem: {e}", file=sys.stderr)
         return _EXIT_UNSUPPORTED
@@ -411,10 +399,10 @@ def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig, kind: str, amount: float) -> int:
-    problem, grid, noise, basis, solver_cfg = _assemble(cfg)
+    problem, grid, noise, basis = _assemble(cfg)
     fwd = simulate_forward(problem, 0.0, problem.spot, noise)
     other = shifted_problem(problem, kind, amount)
-    rep = comparison_experiment(problem, other, fwd, noise, basis, solver_cfg)
+    rep = comparison_experiment(problem, other, fwd, noise, basis, cfg.solver)
     out = _out_dir(cfg)
     _write_provenance(cfg, out)
     lines = [

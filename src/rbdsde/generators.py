@@ -459,13 +459,6 @@ class EnvelopeApproximant:
             return vals
         return vals, (arg == 0) | (arg == len(u) - 1)
 
-    def profile_envelope(self, y):
-        """1-D envelope of the separable y profile alone."""
-        if self._phi is None:
-            raise ValueError("base generator is not separable")
-        core, _ = self._eval_profile(np.asarray(y, dtype=float))
-        return self.sign * core
-
     def _eval_profile(self, y):
         u = self.u_nodes
         i_left = np.clip(np.searchsorted(u, y, side="right") - 1, 0, len(u) - 1)

@@ -38,6 +38,7 @@ __all__ = [
     "GeneratorEvaluationError",
     "ComparisonSetupError",
     "RegressionBasis",
+    "RegressionPlan",
     "regress_conditional",
     "SolverConfig",
     "SolutionTriple",
@@ -100,13 +101,6 @@ def _multi_indices(d: int, degree: int):
     return out
 
 
-def _standardize(state: np.ndarray) -> np.ndarray:
-    mu = state.mean(axis=0)
-    sd = state.std(axis=0)
-    sd = np.where(sd > 0, sd, 1.0)
-    return (state - mu) / sd
-
-
 def _monomials(s: np.ndarray, degree: int) -> np.ndarray:
     m, d = s.shape
     cols = []
@@ -138,85 +132,87 @@ def _bin_ids(state: np.ndarray, bins: int, domain) -> np.ndarray:
     return ids
 
 
-class _Design:
-    """Per-node regression context, built once and reused across targets.
+def _moments(loc: np.ndarray, ids: np.ndarray | None, n_bins: int,
+             v2: np.ndarray) -> np.ndarray:
+    """Mean products of the basis columns with each column of ``v2``: one
+    (k, q) block for a dense basis (``ids`` None), one per bin otherwise.
+    Chunked matmul and bincount accumulation keep the reduction order fixed."""
+    m, k = loc.shape
+    if ids is None:
+        out = np.zeros((k, v2.shape[1]))
+        for c in range(0, m, _CHUNK):
+            out += loc[c:c + _CHUNK].T @ v2[c:c + _CHUNK]
+    else:
+        out = np.empty((n_bins, k, v2.shape[1]))
+        for a in range(k):
+            for j in range(v2.shape[1]):
+                out[:, a, j] = np.bincount(ids, weights=loc[:, a] * v2[:, j],
+                                           minlength=n_bins)
+    return out / m
 
-    Polynomial bases carry the dense design; binned bases exploit the
+
+class RegressionPlan:
+    """Regression designs of one forward ensemble, built once per node.
+
+    ``states`` holds the (M, n, d) forward paths.  For each node in ``nodes``
+    the plan keeps what depends on the state alone: the standardisation
+    (mu, sd), for binned bases the bin ids, and the ridged Gram matrices.
+    ``fit`` then only accumulates the right-hand side, so a Picard loop
+    projecting every sweep on the same filtration pays for its designs once.
+    Nodes are prepared in the order given; pass them in sweep order so that a
+    failure names the node a backward sweep would reach first.
+
+    Polynomial bases use one dense Gram matrix; binned bases exploit the
     block-diagonal Gram matrix and solve one small system per occupied bin
-    (bincount accumulation keeps the reduction order fixed).
+    (piecewise-constant is the local-polynomial basis at degree 0).  The local
+    monomials are rebuilt from (mu, sd) at each fit rather than stored, which
+    keeps the plan at one small integer per path and node.
     """
 
-    def __init__(self, basis: RegressionBasis, state: np.ndarray):
-        state = np.asarray(state, dtype=float)
-        self.m = state.shape[0]
-        if basis.kind == "polynomial":
-            self.mode = "dense"
-            self.phi = _monomials(_standardize(state), basis.degree)
-            self.k = self.phi.shape[1]
-        else:
-            self.mode = "binned"
-            raw = _bin_ids(state, basis.bins, basis.domain)
-            occupied, self.ids = np.unique(raw, return_inverse=True)
-            self.n_bins = len(occupied)
-            if basis.kind == "piecewise-constant":
-                self.local = np.ones((self.m, 1))
+    def __init__(self, basis: RegressionBasis, states: np.ndarray, ridge: float, nodes):
+        self.states = np.asarray(states, dtype=float)
+        self.degree = 0 if basis.kind == "piecewise-constant" else basis.degree
+        self._nodes = {}
+        for node in nodes:
+            state = self.states[:, node]
+            m = state.shape[0]
+            mu = state.mean(axis=0)
+            sd = state.std(axis=0)
+            sd = np.where(sd > 0, sd, 1.0)
+            loc = _monomials((state - mu) / sd, self.degree)
+            k = loc.shape[1]
+            ids, n_bins = None, 1
+            if basis.kind != "polynomial":
+                occupied, ids = np.unique(_bin_ids(state, basis.bins, basis.domain),
+                                          return_inverse=True)
+                n_bins = len(occupied)
+                # the smallest unsigned type holding every id: one byte up to 256 bins
+                ids = ids.astype(np.min_scalar_type(n_bins - 1))
+            if m < n_bins * k:
+                raise ValueError(f"need at least as many paths ({m}) as basis "
+                                 f"functions ({n_bins * k}) at node {node}")
+            gram = _moments(loc, ids, n_bins, loc)
+            if ridge > 0:
+                gram = gram + ridge * np.eye(k)
             else:
-                self.local = _monomials(_standardize(state), basis.degree)
-            self.k = self.n_bins * self.local.shape[1]
-
-    def fit(self, values: np.ndarray, ridge: float) -> np.ndarray:
-        vals = np.asarray(values, dtype=float)
-        squeeze = vals.ndim == 1
-        v2 = vals[:, None] if squeeze else vals
-        if self.m < self.k:
-            raise ValueError(
-                f"need at least as many paths ({self.m}) as basis functions ({self.k})")
-        fitted = (self._fit_dense(v2, ridge) if self.mode == "dense"
-                  else self._fit_binned(v2, ridge))
-        return fitted[:, 0] if squeeze else fitted
-
-    def _fit_dense(self, v2: np.ndarray, ridge: float) -> np.ndarray:
-        k = self.phi.shape[1]
-        gram = np.zeros((k, k))
-        rhs = np.zeros((k, v2.shape[1]))
-        for i in range(0, self.m, _CHUNK):
-            blk = self.phi[i:i + _CHUNK]
-            gram += blk.T @ blk
-            rhs += blk.T @ v2[i:i + _CHUNK]
-        gram /= self.m
-        rhs /= self.m
-        if ridge > 0:
-            gram = gram + ridge * np.eye(k)
-        elif np.linalg.matrix_rank(gram) < k:
-            raise SingularRegressionError("rank-deficient normal equations with ridge = 0")
-        return self.phi @ np.linalg.solve(gram, rhs)
-
-    def _fit_binned(self, v2: np.ndarray, ridge: float) -> np.ndarray:
-        loc = self.local
-        k = loc.shape[1]
-        q = v2.shape[1]
-        gram = np.empty((self.n_bins, k, k))
-        rhs = np.empty((self.n_bins, k, q))
-        for a in range(k):
-            for b in range(a, k):
-                s = np.bincount(self.ids, weights=loc[:, a] * loc[:, b],
-                                minlength=self.n_bins)
-                gram[:, a, b] = s
-                gram[:, b, a] = s
-            for j in range(q):
-                rhs[:, a, j] = np.bincount(self.ids, weights=loc[:, a] * v2[:, j],
-                                           minlength=self.n_bins)
-        gram /= self.m
-        rhs /= self.m
-        if ridge > 0:
-            gram = gram + ridge * np.eye(k)
-        else:
-            for b in range(self.n_bins):
-                if np.linalg.matrix_rank(gram[b]) < k:
+                short = np.flatnonzero(np.atleast_1d(np.linalg.matrix_rank(gram)) < k)
+                if short.size:
+                    where = f"node {node}" + (
+                        "" if ids is None else f", bin {occupied[short[0]]}")
                     raise SingularRegressionError(
-                        "rank-deficient normal equations with ridge = 0")
-        coef = np.linalg.solve(gram, rhs)
-        return np.einsum("ma,maq->mq", loc, coef[self.ids])
+                        f"rank-deficient normal equations with ridge = 0 at {where}")
+            self._nodes[node] = (mu, sd, ids, n_bins, gram)
+
+    def fit(self, node: int, values: np.ndarray) -> np.ndarray:
+        """Fitted values at each path's own state; ``values`` may be (M,) or
+        (M, q) for q simultaneous projections."""
+        mu, sd, ids, n_bins, gram = self._nodes[node]
+        loc = _monomials((self.states[:, node] - mu) / sd, self.degree)
+        vals = np.asarray(values, dtype=float)
+        v2 = vals[:, None] if vals.ndim == 1 else vals
+        coef = np.linalg.solve(gram, _moments(loc, ids, n_bins, v2))
+        fitted = loc @ coef if ids is None else np.einsum("ma,maq->mq", loc, coef[ids])
+        return fitted[:, 0] if vals.ndim == 1 else fitted
 
 
 def regress_conditional(values: np.ndarray, state: np.ndarray,
@@ -226,7 +222,7 @@ def regress_conditional(values: np.ndarray, state: np.ndarray,
     Returns the fitted values at each sample's own state.  ``values`` may be
     (M,) or (M, q) for q simultaneous projections sharing the design.
     """
-    return _Design(basis, state).fit(values, ridge)
+    return RegressionPlan(basis, np.asarray(state)[:, None], ridge, [0]).fit(0, values)
 
 
 @dataclass(frozen=True)
@@ -263,13 +259,14 @@ def _check_finite(arr: np.ndarray, what: str, node: int):
 
 
 def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble,
-                        noise: NoiseEnsemble, basis: RegressionBasis,
+                        noise: NoiseEnsemble, plan: RegressionPlan,
                         cfg: SolverConfig, start_index: int = 0) -> SolutionTriple:
     """One backward sweep with the generator y-arguments frozen at ``frozen_y``.
 
     ``frozen_y`` is a ProcessSample or an (M, N+1) array on the same grid.
-    Values before ``start_index`` replicate the start-node solution (the
-    standard extension below the start time).
+    ``plan`` must hold the designs of ``forward``'s nodes N-1 down to
+    ``start_index``.  Values before ``start_index`` replicate the start-node
+    solution (the standard extension below the start time).
     """
     grid = noise.grid
     n_steps = grid.num_steps
@@ -302,13 +299,12 @@ def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble
 
     for i in range(n_steps - 1, start_index - 1, -1):
         state = xs[:, i]
-        design = _Design(basis, state)
         if cfg.z_scheme == "regression":
-            zi = design.fit(y[:, i + 1][:, None] * dw[:, i], cfg.ridge) / dt[i]
+            zi = plan.fit(i, y[:, i + 1][:, None] * dw[:, i]) / dt[i]
         else:
             # finite-increment form: project the martingale increment of Y
-            ybar = design.fit(y[:, i + 1], cfg.ridge)
-            zi = design.fit((y[:, i + 1] - ybar)[:, None] * dw[:, i], cfg.ridge) / dt[i]
+            ybar = plan.fit(i, y[:, i + 1])
+            zi = plan.fit(i, (y[:, i + 1] - ybar)[:, None] * dw[:, i]) / dt[i]
         z[:, i] = zi
 
         f_i = gen.f(float(nodes[i]), state, frozen[:, i], zi)
@@ -316,7 +312,7 @@ def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble
         target = y[:, i + 1] + f_i * dt[i] + g_i @ db[i]
         _check_finite(target, "generator value", i)
 
-        yhat = design.fit(target, cfg.ridge)
+        yhat = plan.fit(i, target)
         if problem.obstacle is not None:
             s_i = problem.obstacle(float(nodes[i]), state)
             y[:, i] = np.maximum(yhat, s_i)
@@ -377,12 +373,15 @@ def picard_solve(problem: ProblemSpec, forward: ForwardEnsemble, noise: NoiseEns
 
     Stops when the sup-over-nodes of the empirical mean of |Y^n - Y^{n-1}|^2
     drops below ``cfg.picard_tol``; otherwise runs ``picard_max_iter`` sweeps
-    and returns the last iterate flagged non-converged.  Returns the solution
-    triple, the number of sweeps, and the gap history.
+    and returns the last iterate flagged non-converged.  The regression plan is
+    built once, before the first sweep.  Returns the solution triple, the
+    number of sweeps, and the gap history.
     """
     m = noise.num_paths
     n_nodes = noise.grid.num_steps + 1
     obstacle = obstacle_values(problem, forward)
+    plan = RegressionPlan(basis, forward.paths.values, cfg.ridge,
+                          range(n_nodes - 2, start_index - 1, -1))
     prev = np.zeros((m, n_nodes))
     gap_history: list[float] = []
     gap_profiles: list[np.ndarray] = []
@@ -391,7 +390,7 @@ def picard_solve(problem: ProblemSpec, forward: ForwardEnsemble, noise: NoiseEns
     sol = None
     iterations = 0
     for iterations in range(1, cfg.picard_max_iter + 1):
-        sol = solve_frozen_rbdsde(problem, prev, forward, noise, basis, cfg,
+        sol = solve_frozen_rbdsde(problem, prev, forward, noise, plan, cfg,
                                   start_index=start_index)
         ycur = sol.y.values[:, :, 0]
         profile = np.mean((ycur - prev) ** 2, axis=0)
@@ -415,7 +414,7 @@ def picard_solve(problem: ProblemSpec, forward: ForwardEnsemble, noise: NoiseEns
         "gap_history": list(gap_history),
         "gap_profiles": np.array(gap_profiles),
         "iteration_summaries": summaries,
-        "skorokhod_residual": skorokhod_residual(sol, obstacle),
+        "skorokhod_residual": float(summaries[-1]["skorokhod_partial"][-1]),
     })
     return sol, iterations, gap_history
 

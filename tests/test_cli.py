@@ -30,6 +30,7 @@ class TestConfig:
             grid=GridConfig(T=0.75, N=40),
             monte_carlo=MonteCarloConfig(paths=1234, seed=99, b_stream=2),
             basis=BasisConfig(kind="polynomial", degree=4, bins=0),
+            solver=SolverConfig(picard_tol=1e-6, z_scheme="finite-increment"),
         )
         again = ExperimentConfig.parse(cfg.render())
         assert again == cfg
@@ -50,6 +51,12 @@ class TestConfig:
         f.write_text(json.dumps(cfg))
         assert run(["solve", "--config", str(f)], monkeypatch, tmp_path) == 2
         assert repr(name) in capsys.readouterr().err
+
+    def test_bad_solver_value_rejected_at_load(self, tmp_path, monkeypatch):
+        # solver settings are checked when the config loads, for every subcommand
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"solver": {"picard_tol": 0}}))
+        assert run(["verify", "doss", "--config", str(f)], monkeypatch, tmp_path) == 2
 
     def test_threads_flag_removed(self):
         with pytest.raises(SystemExit) as exc:

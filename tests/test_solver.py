@@ -9,18 +9,27 @@ from rbdsde.forward import simulate_forward
 from rbdsde.generators import GeneratorSpec, builtin_problem, shifted_problem
 from rbdsde.modulus import lipschitz_modulus, majorant_sequence
 from rbdsde.paths import ProcessSample, build_grid, sample_noise
+import rbdsde.solver
 from rbdsde.solver import (ComparisonSetupError, GeneratorEvaluationError,
-                           MajorantGapReport, RegressionBasis, SingularRegressionError,
-                           SolutionTriple, SolverConfig, comparison_experiment,
-                           majorant_inputs, obstacle_values, picard_gap_vs_majorant,
-                           picard_solve, regress_conditional, skorokhod_residual,
-                           solve_frozen_rbdsde)
+                           MajorantGapReport, RegressionBasis, RegressionPlan,
+                           SingularRegressionError, SolutionTriple, SolverConfig,
+                           comparison_experiment, majorant_inputs, obstacle_values,
+                           picard_gap_vs_majorant, picard_solve, regress_conditional,
+                           skorokhod_residual, solve_frozen_rbdsde)
 
 BASIS = RegressionBasis(kind="local-polynomial", bins=8, degree=1)
+ALL_BASES = (RegressionBasis(kind="polynomial", degree=2),
+             RegressionBasis(kind="piecewise-constant", bins=8), BASIS)
 
 
 def brownian_problem(**kwargs):
     return builtin_problem("lipschitz-linear", **kwargs)
+
+
+def sweep_plan(fwd, basis=BASIS):
+    """The plan picard_solve builds from node 0 at the default ridge: nodes N-1 down to 0."""
+    return RegressionPlan(basis, fwd.paths.values, SolverConfig().ridge,
+                          range(fwd.paths.values.shape[1] - 2, -1, -1))
 
 
 class TestRegression:
@@ -68,6 +77,44 @@ class TestRegression:
         for j in range(2):
             one = regress_conditional(values[:, j], state, BASIS, 1e-8)
             assert np.max(np.abs(both[:, j] - one)) < 1e-13
+
+
+class TestRegressionPlan:
+    @pytest.mark.parametrize("start", [0, 7])
+    def test_designs_built_once_per_node(self, small_noise, monkeypatch, start):
+        calls = []
+        bin_ids = rbdsde.solver._bin_ids
+        monkeypatch.setattr(rbdsde.solver, "_bin_ids",
+                            lambda *a: calls.append(1) or bin_ids(*a))
+        p = brownian_problem()
+        fwd = simulate_forward(p, float(small_noise.grid.nodes[start]), [0.0], small_noise)
+        _, iterations, _ = picard_solve(p, fwd, small_noise, BASIS, SolverConfig(),
+                                        start_index=start)
+        assert iterations >= 2
+        assert len(calls) == small_noise.grid.num_steps - start
+
+    @pytest.mark.parametrize("basis", ALL_BASES, ids=lambda b: b.kind)
+    def test_fit_matches_one_node_regression(self, small_noise, rng, basis):
+        # repeated fits must not disturb the cached Gram matrices
+        fwd = simulate_forward(brownian_problem(), 0.0, [0.0], small_noise)
+        xs = fwd.paths.values
+        plan = sweep_plan(fwd, basis)
+        values = rng.normal(size=(small_noise.num_paths, 2))
+        for i in range(small_noise.grid.num_steps - 1, -1, -1):
+            v = values + xs[:, i + 1]
+            ref = regress_conditional(v, xs[:, i], basis, SolverConfig().ridge)
+            assert np.array_equal(plan.fit(i, v), ref)
+            assert np.array_equal(plan.fit(i, v), ref)
+
+    @pytest.mark.parametrize("basis", [RegressionBasis(kind="polynomial", degree=1), BASIS],
+                             ids=lambda b: b.kind)
+    def test_singular_start_node_named(self, small_noise, basis):
+        # the forward state is frozen at the start node, so its design is singular
+        s = 7
+        p = brownian_problem()
+        fwd = simulate_forward(p, float(small_noise.grid.nodes[s]), [0.0], small_noise)
+        with pytest.raises(SingularRegressionError, match=rf"node {s}\b"):
+            picard_solve(p, fwd, small_noise, basis, SolverConfig(ridge=0.0), start_index=s)
 
 
 class TestConfig:
@@ -131,7 +178,7 @@ class TestBackwardScheme:
         fwd = simulate_forward(p, 0.0, [0.0], small_noise)
         cfg = SolverConfig(picard_tol=1e-6)
         sol, _, _ = picard_solve(p, fwd, small_noise, BASIS, cfg)
-        again = solve_frozen_rbdsde(p, sol.y, fwd, small_noise, BASIS, cfg)
+        again = solve_frozen_rbdsde(p, sol.y, fwd, small_noise, sweep_plan(fwd), cfg)
         gap = float(np.max(np.mean((again.y.values - sol.y.values) ** 2, axis=0)))
         assert gap < cfg.picard_tol
 
@@ -160,7 +207,7 @@ class TestBackwardScheme:
         with pytest.raises(GeneratorEvaluationError, match="node 39"):
             solve_frozen_rbdsde(p, np.zeros((small_noise.num_paths,
                                              small_noise.grid.num_steps + 1)),
-                                fwd, small_noise, BASIS, SolverConfig())
+                                fwd, small_noise, sweep_plan(fwd), SolverConfig())
 
     def test_finite_increment_scheme_close(self, small_noise):
         p = brownian_problem(a=0.2, b_coef=0.3)
@@ -176,7 +223,8 @@ class TestBackwardScheme:
         p = brownian_problem()
         fwd = simulate_forward(p, 0.0, [0.0], small_noise)
         with pytest.raises(ValueError):
-            solve_frozen_rbdsde(p, np.zeros((3, 3)), fwd, small_noise, BASIS, SolverConfig())
+            solve_frozen_rbdsde(p, np.zeros((3, 3)), fwd, small_noise, sweep_plan(fwd),
+                                SolverConfig())
 
 
 @pytest.fixture(scope="module")
