@@ -123,7 +123,10 @@ class ExperimentConfig:
             for key, val in list(fixed.items()):
                 if isinstance(val, list):
                     fixed[key] = tuple(tuple(v) if isinstance(v, list) else v for v in val)
-            return cls(**fixed)
+            try:
+                return cls(**fixed)
+            except ValueError as e:
+                raise ConfigError(f"section {name!r}: {e}") from None
 
         known = {f.name for f in dataclasses.fields(ExperimentConfig)}
         bad = set(data) - known
@@ -279,7 +282,7 @@ def cmd_field(cfg: ExperimentConfig) -> int:
     return _EXIT_OK
 
 
-def _suite_condition_a(cfg: ExperimentConfig):
+def _suite_condition_a():
     ladder = [10.0 ** (-k) for k in range(2, 13)]
     checks = []
     for name, (spec, expected) in builtin_condition_a_fixtures().items():
@@ -289,7 +292,7 @@ def _suite_condition_a(cfg: ExperimentConfig):
     return checks
 
 
-def _suite_envelopes(cfg: ExperimentConfig):
+def _suite_envelopes():
     problem = builtin_problem("paper-1-4")
     rep = envelope_property_check(problem.generators, [4, 8], num_points=2000,
                                   u_range=20.0, u_step=1e-3,
@@ -301,7 +304,7 @@ def _suite_envelopes(cfg: ExperimentConfig):
             for n, ok in zip(names, flags)]
 
 
-def _suite_comparison(cfg: ExperimentConfig):
+def _suite_comparison():
     problem = builtin_problem("lipschitz-linear")
     grid = build_grid(problem.horizon, 32)
     noise = sample_noise(grid, 4000, seed=1801)
@@ -317,7 +320,7 @@ def _suite_comparison(cfg: ExperimentConfig):
     return checks
 
 
-def _suite_skorokhod(cfg: ExperimentConfig):
+def _suite_skorokhod():
     problem = builtin_problem("american-put-like")
     grid = build_grid(problem.horizon, 50)
     noise = sample_noise(grid, 5000, seed=1802)
@@ -338,7 +341,7 @@ def _suite_skorokhod(cfg: ExperimentConfig):
     ]
 
 
-def _suite_doss(cfg: ExperimentConfig):
+def _suite_doss():
     problem = builtin_problem("lipschitz-linear")
     grid = build_grid(1.0, 40)
     noise = sample_noise(grid, 1, seed=1803)
@@ -358,7 +361,7 @@ def _suite_doss(cfg: ExperimentConfig):
     ]
 
 
-def _suite_flow(cfg: ExperimentConfig):
+def _suite_flow():
     problem = builtin_problem("lipschitz-linear")
     grid = build_grid(1.0, 256)
     noise = sample_noise(grid, 4000, seed=1804)
@@ -388,7 +391,7 @@ def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
         print(f"unknown suite {suite!r}; available: {', '.join(sorted(_SUITES))}",
               file=sys.stderr)
         return _EXIT_CONFIG
-    checks = _SUITES[suite](cfg)
+    checks = _SUITES[suite]()
     out = _out_dir(cfg)
     lines = []
     for name, ok, detail in checks:
@@ -426,8 +429,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                                  "solver and verification lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def io_flags(p):
         p.add_argument("--config", type=str, default=None, help="JSON config file")
+        p.add_argument("--out", type=str, default=None, help="output directory")
+
+    def common(p):
+        io_flags(p)
         p.add_argument("--problem", type=str, default=None,
                        help=f"catalog problem ({', '.join(catalog_names())})")
         p.add_argument("--T", type=float, default=None, help="horizon")
@@ -438,7 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="polynomial | piecewise-constant | local-polynomial")
         p.add_argument("--degree", type=int, default=None, help="basis degree")
         p.add_argument("--bins", type=int, default=None, help="basis bins")
-        p.add_argument("--out", type=str, default=None, help="output directory")
 
     p_solve = sub.add_parser("solve", help="run the backward solver")
     common(p_solve)
@@ -451,13 +457,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("--times", type=float, nargs="+", default=None)
     p_field.add_argument("--envelope-n", type=int, nargs="+", default=None)
 
+    # the suites fix their own problems and sizes: only the output directory applies
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    common(p_verify)
+    io_flags(p_verify)
     p_verify.add_argument("suite", type=str,
                           help=f"one of: {', '.join(sorted(_SUITES))}")
 
     p_cond = sub.add_parser("condition-a", help="alias of 'verify condition-a'")
-    common(p_cond)
+    io_flags(p_cond)
 
     p_cmp = sub.add_parser("compare", help="ordered-pair comparison experiment")
     common(p_cmp)

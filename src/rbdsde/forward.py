@@ -19,13 +19,11 @@ __all__ = ["ForwardEnsemble", "simulate_forward", "FlowReport", "flow_continuity
 
 @dataclass(frozen=True, eq=False)
 class ForwardEnsemble:
-    """Simulated forward paths plus their start point and driving noise."""
+    """Simulated forward paths and the grid node they start from."""
 
     start_time: float
-    start_state: np.ndarray
     start_index: int
     paths: ProcessSample
-    noise: NoiseEnsemble
 
 
 def simulate_forward(problem: ProblemSpec, t: float, x, noise: NoiseEnsemble) -> ForwardEnsemble:
@@ -50,8 +48,7 @@ def simulate_forward(problem: ProblemSpec, t: float, x, noise: NoiseEnsemble) ->
         vals[:, i + 1] = (xi + problem.drift(xi) * dt[i]
                           + np.einsum("mij,mj->mi", problem.diffusion(xi), dw[:, i]))
     sample = ProcessSample(grid=grid, values=vals, kind="Y")
-    return ForwardEnsemble(start_time=float(grid.nodes[i0]), start_state=x,
-                           start_index=i0, paths=sample, noise=noise)
+    return ForwardEnsemble(start_time=float(grid.nodes[i0]), start_index=i0, paths=sample)
 
 
 @dataclass(frozen=True)

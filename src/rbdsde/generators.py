@@ -48,9 +48,10 @@ class EnvelopeRangeError(ValueError):
 class GeneratorSpec:
     """A generator pair with its declared admissibility metadata.
 
-    ``modulus`` is the concave modulus rho declared for the y-increments,
-    ``z_lipschitz`` the constant C on ||z1 - z2||^2 in the f bound and
-    ``z_fraction`` the constant alpha in the g bound.  When f splits as
+    The pair satisfies |f(t,x,y1,z1) - f(t,x,y2,z2)|^2 <= rho(t, |y1-y2|^2)
+    + C ||z1-z2||^2, and the same for g with alpha in place of C.
+    ``modulus`` is rho, ``z_lipschitz`` is C > 0 and ``z_fraction`` is
+    alpha in (0, 1).  When f splits as
     f(t, x, y, z) = f_y_profile(y) + f_rest(t, x, z), supplying both parts
     lets the envelope machinery run in closed form over the y variable.
     """
@@ -65,6 +66,12 @@ class GeneratorSpec:
     f_y_profile: Callable | None = None
     f_rest: Callable | None = None
     envelope_min_n: float = 1.0
+
+    def __post_init__(self):
+        if not 0 < self.z_fraction < 1:
+            raise ValueError(f"z_fraction must lie in (0, 1), got {self.z_fraction}")
+        if self.z_lipschitz <= 0:
+            raise ValueError("z_lipschitz must be positive")
 
     @property
     def separable(self) -> bool:
@@ -142,7 +149,7 @@ def _build_paper_1_4(C=2.0, alpha=0.5, horizon=1.0, obstacle_gap=1.0,
 
     gen = GeneratorSpec(
         f=f, g=g,
-        modulus=lipschitz_modulus(2.0 / math.sqrt(T), z_lipschitz=C, alpha=alpha),
+        modulus=lipschitz_modulus(2.0 / math.sqrt(T)),
         z_lipschitz=C, z_fraction=alpha, g_depends_on_z=not g_z_free, ell=1,
         f_y_profile=profile, f_rest=lambda t, x, z: fz * z[:, 0],
         envelope_min_n=1.0,
@@ -166,7 +173,7 @@ def _build_lipschitz_linear(a=0.25, b_coef=0.2, horizon=1.0, obstacle_gap=4.0,
 
     gen = GeneratorSpec(
         f=f, g=_zero_g(1),
-        modulus=lipschitz_modulus(2.0 * a * a + 1e-12, z_lipschitz=max(2.0 * b_coef * b_coef, 1e-6), alpha=0.5),
+        modulus=lipschitz_modulus(2.0 * a * a + 1e-12),
         z_lipschitz=max(2.0 * b_coef * b_coef, 1e-6), z_fraction=0.5,
         g_depends_on_z=False, ell=1,
         f_y_profile=lambda y: a * y, f_rest=lambda t, x, z: b_coef * z[:, 0],
@@ -199,7 +206,7 @@ def _build_american_put_like(strike=100.0, rate=0.06, vol=0.2, horizon=0.5, spot
 
     gen = GeneratorSpec(
         f=f, g=_zero_g(1),
-        modulus=lipschitz_modulus(rate * rate, z_lipschitz=1.0, alpha=0.5),
+        modulus=lipschitz_modulus(rate * rate),
         z_lipschitz=1.0, z_fraction=0.5, g_depends_on_z=False, ell=1,
         f_y_profile=lambda y: -rate * y, f_rest=lambda t, x, z: np.zeros(len(z)),
         envelope_min_n=max(1.0, rate),
@@ -502,9 +509,7 @@ class EnvelopeApproximant:
 
         return dataclasses.replace(
             self.base, f=f, f_y_profile=None, f_rest=None,
-            modulus=lipschitz_modulus(2.0 * self.n * self.n,
-                                      z_lipschitz=self.base.z_lipschitz,
-                                      alpha=self.base.z_fraction),
+            modulus=lipschitz_modulus(2.0 * self.n * self.n),
         )
 
 

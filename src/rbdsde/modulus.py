@@ -73,14 +73,14 @@ class NonTerminationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModulusSpec:
-    """A concave modulus plus the z-coupling constants of the generator bound.
+    """A concave modulus rho(t, u) bounding the squared y-increments of the
+    generators; the z-coupling constants of the bound live on GeneratorSpec.
 
     variant "lipschitz" evaluates c_rho * u; "log" and "loglog" evaluate the
     u ln(1/u) and u ln(1/u) ln(ln(1/u)) profiles below ``delta`` and continue
     with the C^1 linear extension above it; "tabulated" interpolates a
     user-supplied (u, rho(u)) table linearly, extrapolating with the last
-    segment slope.  ``z_lipschitz`` is the constant multiplying ||z1 - z2||^2
-    in the f bound and ``alpha`` its counterpart in the g bound.
+    segment slope.
 
     Every built-in variant ignores the time argument: rho(t, u) = rho(u).
 
@@ -94,8 +94,6 @@ class ModulusSpec:
     c_rho: float = 1.0
     delta: float = 0.0
     table: tuple[tuple[float, float], ...] | None = None
-    z_lipschitz: float = 1.0
-    alpha: float = 0.5
     # above _switch, rho(u) = _head + _kappa * (u - _switch); unused for lipschitz
     _switch: float = field(default=math.inf, init=False, repr=False, compare=False)
     _head: float = field(default=0.0, init=False, repr=False, compare=False)
@@ -106,10 +104,6 @@ class ModulusSpec:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown modulus variant {self.variant!r}")
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.z_lipschitz <= 0:
-            raise ValueError("z_lipschitz must be positive")
         if self.variant == "lipschitz":
             if self.c_rho < 0:
                 raise ValueError("c_rho must be non-negative")
@@ -144,27 +138,27 @@ class ModulusSpec:
             object.__setattr__(self, name, value)
 
 
-def lipschitz_modulus(c_rho: float = 1.0, *, z_lipschitz: float = 1.0, alpha: float = 0.5) -> ModulusSpec:
-    return ModulusSpec(variant="lipschitz", c_rho=c_rho, z_lipschitz=z_lipschitz, alpha=alpha)
+def lipschitz_modulus(c_rho: float = 1.0) -> ModulusSpec:
+    return ModulusSpec(variant="lipschitz", c_rho=c_rho)
 
 
-def log_modulus(delta: float = _LOG_DELTA, *, z_lipschitz: float = 1.0, alpha: float = 0.5) -> ModulusSpec:
-    return ModulusSpec(variant="log", delta=delta, z_lipschitz=z_lipschitz, alpha=alpha)
+def log_modulus(delta: float = _LOG_DELTA) -> ModulusSpec:
+    return ModulusSpec(variant="log", delta=delta)
 
 
-def loglog_modulus(delta: float = _LOGLOG_DELTA, *, z_lipschitz: float = 1.0, alpha: float = 0.5) -> ModulusSpec:
-    return ModulusSpec(variant="loglog", delta=delta, z_lipschitz=z_lipschitz, alpha=alpha)
+def loglog_modulus(delta: float = _LOGLOG_DELTA) -> ModulusSpec:
+    return ModulusSpec(variant="loglog", delta=delta)
 
 
-def tabulated_modulus(points, *, z_lipschitz: float = 1.0, alpha: float = 0.5) -> ModulusSpec:
+def tabulated_modulus(points) -> ModulusSpec:
     """Tabulated modulus; a (0, 0) anchor is prepended if missing."""
     pts = [(float(u), float(v)) for u, v in points]
     if not pts or pts[0][0] > 0.0:
         pts.insert(0, (0.0, 0.0))
-    return ModulusSpec(variant="tabulated", table=tuple(pts), z_lipschitz=z_lipschitz, alpha=alpha)
+    return ModulusSpec(variant="tabulated", table=tuple(pts))
 
 
-def tabulated_from_csv(path, **kwargs) -> ModulusSpec:
+def tabulated_from_csv(path) -> ModulusSpec:
     """Load a two-column (u, rho) CSV; a leading header row is skipped."""
     pts = []
     with open(path, newline="") as fh:
@@ -177,7 +171,7 @@ def tabulated_from_csv(path, **kwargs) -> ModulusSpec:
                 if pts:
                     raise
                 continue  # header
-    return tabulated_modulus(pts, **kwargs)
+    return tabulated_modulus(pts)
 
 
 def _kappa_log(delta: float) -> float:

@@ -75,15 +75,13 @@ class RegressionBasis:
     kind "polynomial" uses all monomials of total degree <= ``degree`` in the
     standardized state; "piecewise-constant" uses indicators of ``bins``
     boxes per dimension; "local-polynomial" fits the monomials separately
-    inside each box.  When ``domain`` (a hyper-rectangle) is given the boxes
-    are uniform inside it; otherwise bin edges follow the per-dimension
-    sample quantiles, which equalizes the per-box sample mass.
+    inside each box.  Bin edges follow the per-dimension sample quantiles,
+    which equalizes the per-box sample mass.
     """
 
     kind: str = "polynomial"
     degree: int = 3
     bins: int = 8
-    domain: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("polynomial", "piecewise-constant", "local-polynomial"):
@@ -113,22 +111,13 @@ def _monomials(s: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _bin_ids(state: np.ndarray, bins: int, domain) -> np.ndarray:
+def _bin_ids(state: np.ndarray, bins: int) -> np.ndarray:
     m, d = state.shape
     ids = np.zeros(m, dtype=int)
     for j in range(d):
         col = state[:, j]
-        if domain is None:
-            edges = np.quantile(col, np.linspace(0.0, 1.0, bins + 1)[1:-1])
-            e = np.searchsorted(edges, col, side="right")
-        else:
-            lo, hi = domain[j]
-            width = hi - lo
-            if width <= 0:
-                e = np.zeros(m, dtype=int)
-            else:
-                e = np.clip(((col - lo) / width * bins).astype(int), 0, bins - 1)
-        ids = ids * bins + e
+        edges = np.quantile(col, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+        ids = ids * bins + np.searchsorted(edges, col, side="right")
     return ids
 
 
@@ -154,13 +143,12 @@ def _moments(loc: np.ndarray, ids: np.ndarray | None, n_bins: int,
 class RegressionPlan:
     """Regression designs of one forward ensemble, built once per node.
 
-    ``states`` holds the (M, n, d) forward paths.  For each node in ``nodes``
-    the plan keeps what depends on the state alone: the standardisation
+    ``states`` holds the (M, n, d) forward paths.  The first ``fit`` at a node
+    builds and caches what depends on the state alone: the standardisation
     (mu, sd), for binned bases the bin ids, and the ridged Gram matrices.
-    ``fit`` then only accumulates the right-hand side, so a Picard loop
-    projecting every sweep on the same filtration pays for its designs once.
-    Nodes are prepared in the order given; pass them in sweep order so that a
-    failure names the node a backward sweep would reach first.
+    Later fits there only accumulate the right-hand side, so a Picard loop
+    projecting every sweep on the same filtration pays for its designs once,
+    and a rank-deficient design is reported at the first fit that needs it.
 
     Polynomial bases use one dense Gram matrix; binned bases exploit the
     block-diagonal Gram matrix and solve one small system per occupied bin
@@ -169,43 +157,47 @@ class RegressionPlan:
     keeps the plan at one small integer per path and node.
     """
 
-    def __init__(self, basis: RegressionBasis, states: np.ndarray, ridge: float, nodes):
+    def __init__(self, basis: RegressionBasis, states: np.ndarray, ridge: float):
         self.states = np.asarray(states, dtype=float)
+        self.basis = basis
+        self.ridge = ridge
         self.degree = 0 if basis.kind == "piecewise-constant" else basis.degree
         self._nodes = {}
-        for node in nodes:
-            state = self.states[:, node]
-            m = state.shape[0]
-            mu = state.mean(axis=0)
-            sd = state.std(axis=0)
-            sd = np.where(sd > 0, sd, 1.0)
-            loc = _monomials((state - mu) / sd, self.degree)
-            k = loc.shape[1]
-            ids, n_bins = None, 1
-            if basis.kind != "polynomial":
-                occupied, ids = np.unique(_bin_ids(state, basis.bins, basis.domain),
-                                          return_inverse=True)
-                n_bins = len(occupied)
-                # the smallest unsigned type holding every id: one byte up to 256 bins
-                ids = ids.astype(np.min_scalar_type(n_bins - 1))
-            if m < n_bins * k:
-                raise ValueError(f"need at least as many paths ({m}) as basis "
-                                 f"functions ({n_bins * k}) at node {node}")
-            gram = _moments(loc, ids, n_bins, loc)
-            if ridge > 0:
-                gram = gram + ridge * np.eye(k)
-            else:
-                short = np.flatnonzero(np.atleast_1d(np.linalg.matrix_rank(gram)) < k)
-                if short.size:
-                    where = f"node {node}" + (
-                        "" if ids is None else f", bin {occupied[short[0]]}")
-                    raise SingularRegressionError(
-                        f"rank-deficient normal equations with ridge = 0 at {where}")
-            self._nodes[node] = (mu, sd, ids, n_bins, gram)
+
+    def _design(self, node: int):
+        state = self.states[:, node]
+        m = state.shape[0]
+        mu = state.mean(axis=0)
+        sd = state.std(axis=0)
+        sd = np.where(sd > 0, sd, 1.0)
+        loc = _monomials((state - mu) / sd, self.degree)
+        k = loc.shape[1]
+        ids, n_bins = None, 1
+        if self.basis.kind != "polynomial":
+            occupied, ids = np.unique(_bin_ids(state, self.basis.bins), return_inverse=True)
+            n_bins = len(occupied)
+            # the smallest unsigned type holding every id: one byte up to 256 bins
+            ids = ids.astype(np.min_scalar_type(n_bins - 1))
+        if m < n_bins * k:
+            raise ValueError(f"need at least as many paths ({m}) as basis "
+                             f"functions ({n_bins * k}) at node {node}")
+        gram = _moments(loc, ids, n_bins, loc)
+        if self.ridge > 0:
+            gram = gram + self.ridge * np.eye(k)
+        else:
+            short = np.flatnonzero(np.atleast_1d(np.linalg.matrix_rank(gram)) < k)
+            if short.size:
+                where = f"node {node}" + (
+                    "" if ids is None else f", bin {occupied[short[0]]}")
+                raise SingularRegressionError(
+                    f"rank-deficient normal equations with ridge = 0 at {where}")
+        return mu, sd, ids, n_bins, gram
 
     def fit(self, node: int, values: np.ndarray) -> np.ndarray:
         """Fitted values at each path's own state; ``values`` may be (M,) or
         (M, q) for q simultaneous projections."""
+        if node not in self._nodes:
+            self._nodes[node] = self._design(node)
         mu, sd, ids, n_bins, gram = self._nodes[node]
         loc = _monomials((self.states[:, node] - mu) / sd, self.degree)
         vals = np.asarray(values, dtype=float)
@@ -222,7 +214,7 @@ def regress_conditional(values: np.ndarray, state: np.ndarray,
     Returns the fitted values at each sample's own state.  ``values`` may be
     (M,) or (M, q) for q simultaneous projections sharing the design.
     """
-    return RegressionPlan(basis, np.asarray(state)[:, None], ridge, [0]).fit(0, values)
+    return RegressionPlan(basis, np.asarray(state)[:, None], ridge).fit(0, values)
 
 
 @dataclass(frozen=True)
@@ -263,10 +255,10 @@ def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble
                         cfg: SolverConfig, start_index: int = 0) -> SolutionTriple:
     """One backward sweep with the generator y-arguments frozen at ``frozen_y``.
 
-    ``frozen_y`` is a ProcessSample or an (M, N+1) array on the same grid.
-    ``plan`` must hold the designs of ``forward``'s nodes N-1 down to
-    ``start_index``.  Values before ``start_index`` replicate the start-node
-    solution (the standard extension below the start time).
+    ``frozen_y`` is a ProcessSample or an (M, N+1) array on the same grid,
+    and ``plan`` a regression plan of ``forward``'s paths.  Values before
+    ``start_index`` replicate the start-node solution (the standard extension
+    below the start time).
     """
     grid = noise.grid
     n_steps = grid.num_steps
@@ -373,15 +365,14 @@ def picard_solve(problem: ProblemSpec, forward: ForwardEnsemble, noise: NoiseEns
 
     Stops when the sup-over-nodes of the empirical mean of |Y^n - Y^{n-1}|^2
     drops below ``cfg.picard_tol``; otherwise runs ``picard_max_iter`` sweeps
-    and returns the last iterate flagged non-converged.  The regression plan is
-    built once, before the first sweep.  Returns the solution triple, the
-    number of sweeps, and the gap history.
+    and returns the last iterate flagged non-converged.  One regression plan
+    serves every sweep, so each node's design is built once, in the first.
+    Returns the solution triple, the number of sweeps, and the gap history.
     """
     m = noise.num_paths
     n_nodes = noise.grid.num_steps + 1
     obstacle = obstacle_values(problem, forward)
-    plan = RegressionPlan(basis, forward.paths.values, cfg.ridge,
-                          range(n_nodes - 2, start_index - 1, -1))
+    plan = RegressionPlan(basis, forward.paths.values, cfg.ridge)
     prev = np.zeros((m, n_nodes))
     gap_history: list[float] = []
     gap_profiles: list[np.ndarray] = []

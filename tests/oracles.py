@@ -42,9 +42,8 @@ def design_matrix(basis, state):
 
     The solver never forms it (binned bases are solved bin by bin); this is
     the reference for normal-equation cross-checks.  Bins follow the sample
-    quantiles, so ``basis.domain`` must be unset.
+    quantiles.
     """
-    assert basis.domain is None
     state = np.asarray(state, dtype=float)
     m, d = state.shape
     sd = state.std(axis=0)

@@ -106,7 +106,7 @@ def test_criterion_4_bsde_reduction():
     base = builtin_problem("lipschitz-linear", with_obstacle=False)
     gen = GeneratorSpec(f=lambda t, x, y, z: 0.1 + 0.3 * z[:, 0],
                         g=lambda t, x, y, z: np.zeros((len(y), 1)),
-                        modulus=lipschitz_modulus(1e-9, z_lipschitz=0.2))
+                        modulus=lipschitz_modulus(1e-9), z_lipschitz=0.2)
     problem = dataclasses.replace(base, generators=gen, terminal=lambda x: x[:, 0] ** 2)
     grid = build_grid(1.0, 32)
     noise = sample_noise(grid, 4000, seed=21)

@@ -58,6 +58,13 @@ class TestConfig:
         f.write_text(json.dumps({"solver": {"picard_tol": 0}}))
         assert run(["verify", "doss", "--config", str(f)], monkeypatch, tmp_path) == 2
 
+    def test_bad_value_names_its_section(self, tmp_path, monkeypatch, capsys):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"solver": {"picard_tol": 0}}))
+        assert run(["solve", "--config", str(f)], monkeypatch, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "config error: section 'solver': picard_tol must be positive" in err
+
     def test_threads_flag_removed(self):
         with pytest.raises(SystemExit) as exc:
             _build_parser().parse_args(["solve", "--threads", "4"])
@@ -200,6 +207,14 @@ class TestVerifyCommand:
         assert run(["verify", "doss"], monkeypatch, tmp_path) == 0
         text = (tmp_path / "out" / "verify_doss.txt").read_text()
         assert "FAIL" not in text
+
+    @pytest.mark.parametrize("argv", [["verify", "doss", "--paths", "10"],
+                                      ["condition-a", "--problem", "paper-1-4"]])
+    def test_suites_take_no_experiment_flags(self, argv):
+        # the suites fix their own problems and sizes, so these flags would do nothing
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_condition_a_alias(self, tmp_path, monkeypatch):
         assert run(["condition-a"], monkeypatch, tmp_path) == 0

@@ -62,6 +62,21 @@ class TestCatalog:
         assert np.all(g == g[0])
 
 
+class TestGeneratorSpec:
+    @pytest.mark.parametrize("constants", [{"z_fraction": 1.0}, {"z_fraction": 0.0},
+                                           {"z_lipschitz": 0.0}])
+    def test_z_constants_checked(self, constants):
+        with pytest.raises(ValueError):
+            GeneratorSpec(f=lambda t, x, y, z: y, g=lambda t, x, y, z: np.zeros((len(y), 1)),
+                          modulus=lipschitz_modulus(1.0), **constants)
+
+    def test_envelope_generator_keeps_z_constants(self):
+        p = builtin_problem("paper-1-4", C=3.0, alpha=0.25)
+        gen = lipschitz_envelope(p.generators, 4, "lower", u_range=5.0).as_generator()
+        assert (gen.z_lipschitz, gen.z_fraction) == (3.0, 0.25)
+        assert gen.modulus == lipschitz_modulus(32.0)
+
+
 class TestShifts:
     def test_terminal_shift(self):
         p = builtin_problem("lipschitz-linear")

@@ -27,9 +27,8 @@ def brownian_problem(**kwargs):
 
 
 def sweep_plan(fwd, basis=BASIS):
-    """The plan picard_solve builds from node 0 at the default ridge: nodes N-1 down to 0."""
-    return RegressionPlan(basis, fwd.paths.values, SolverConfig().ridge,
-                          range(fwd.paths.values.shape[1] - 2, -1, -1))
+    """The plan picard_solve builds, at the default ridge."""
+    return RegressionPlan(basis, fwd.paths.values, SolverConfig().ridge)
 
 
 class TestRegression:
@@ -105,6 +104,19 @@ class TestRegressionPlan:
             ref = regress_conditional(v, xs[:, i], basis, SolverConfig().ridge)
             assert np.array_equal(plan.fit(i, v), ref)
             assert np.array_equal(plan.fit(i, v), ref)
+
+    def test_fresh_plan_equals_partly_fitted_plan(self, small_noise):
+        # a plan that has already fitted the later nodes builds the rest on demand
+        p = brownian_problem()
+        fwd = simulate_forward(p, 0.0, [0.0], small_noise)
+        frozen = np.zeros((small_noise.num_paths, small_noise.grid.num_steps + 1))
+        cfg = SolverConfig()
+        used = sweep_plan(fwd)
+        solve_frozen_rbdsde(p, frozen, fwd, small_noise, used, cfg, start_index=7)
+        ref = solve_frozen_rbdsde(p, frozen, fwd, small_noise, sweep_plan(fwd), cfg)
+        sol = solve_frozen_rbdsde(p, frozen, fwd, small_noise, used, cfg)
+        for a, b in ((sol.y, ref.y), (sol.z, ref.z), (sol.k, ref.k)):
+            assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("basis", [RegressionBasis(kind="polynomial", degree=1), BASIS],
                              ids=lambda b: b.kind)
@@ -188,7 +200,7 @@ class TestBackwardScheme:
         base = brownian_problem(with_obstacle=False)
         gen = GeneratorSpec(f=lambda t, x, y, z: 0.1 + 0.3 * z[:, 0],
                             g=lambda t, x, y, z: np.zeros((len(y), 1)),
-                            modulus=lipschitz_modulus(1e-9, z_lipschitz=0.2))
+                            modulus=lipschitz_modulus(1e-9), z_lipschitz=0.2)
         p = dataclasses.replace(base, generators=gen, terminal=lambda x: x[:, 0] ** 2)
         grid = build_grid(1.0, 32)
         noise = sample_noise(grid, 4000, seed=21)
