@@ -33,7 +33,7 @@ from .generators import (builtin_problem, catalog_names, envelope_property_check
 from .modulus import builtin_condition_a_fixtures, condition_a_uniqueness_check
 from .paths import build_grid, empirical_norm, sample_noise
 from .solver import (RegressionBasis, SolverConfig, comparison_experiment,
-                     obstacle_values, picard_solve, skorokhod_residual)
+                     obstacle_values, picard_solve)
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -69,13 +69,6 @@ class MonteCarloConfig:
 
 
 @dataclass(frozen=True)
-class BasisConfig:
-    kind: str = "local-polynomial"
-    degree: int = 1
-    bins: int = 16
-
-
-@dataclass(frozen=True)
 class FieldConfig:
     x_min: float = -1.0
     x_max: float = 1.0
@@ -94,29 +87,33 @@ class ExperimentConfig:
     problem: ProblemConfig = field(default_factory=ProblemConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     monte_carlo: MonteCarloConfig = field(default_factory=MonteCarloConfig)
-    basis: BasisConfig = field(default_factory=BasisConfig)
+    basis: RegressionBasis = field(
+        default_factory=lambda: RegressionBasis(kind="local-polynomial", degree=1, bins=16))
     solver: SolverConfig = field(default_factory=SolverConfig)
     field_eval: FieldConfig = field(default_factory=FieldConfig)
     outputs: OutputConfig = field(default_factory=OutputConfig)
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["problem"]["overrides"] = [list(kv) for kv in self.problem.overrides]
-        return out
-
     def render(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.render().encode()).hexdigest()
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        def build(cls, section, name):
+        """Each section given replaces the fields it names in the default
+        section, so a partial section keeps the other defaults."""
+        defaults = ExperimentConfig()
+        names = [f.name for f in dataclasses.fields(defaults)]
+        bad = set(data) - set(names)
+        if bad:
+            raise ConfigError(f"unknown top-level field {sorted(bad)[0]!r}")
+        sections = {}
+        for name in (n for n in names if n in data):
+            section, default = data[name], getattr(defaults, name)
             if not isinstance(section, dict):
                 raise ConfigError(f"section {name!r} must be an object")
-            known = {f.name for f in dataclasses.fields(cls)}
-            bad = set(section) - known
+            bad = set(section) - {f.name for f in dataclasses.fields(default)}
             if bad:
                 raise ConfigError(f"unknown field {sorted(bad)[0]!r} in section {name!r}")
             fixed = dict(section)
@@ -124,22 +121,10 @@ class ExperimentConfig:
                 if isinstance(val, list):
                     fixed[key] = tuple(tuple(v) if isinstance(v, list) else v for v in val)
             try:
-                return cls(**fixed)
+                sections[name] = dataclasses.replace(default, **fixed)
             except ValueError as e:
                 raise ConfigError(f"section {name!r}: {e}") from None
-
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        bad = set(data) - known
-        if bad:
-            raise ConfigError(f"unknown top-level field {sorted(bad)[0]!r}")
-        kwargs = {}
-        for name, cls in (("problem", ProblemConfig), ("grid", GridConfig),
-                          ("monte_carlo", MonteCarloConfig), ("basis", BasisConfig),
-                          ("solver", SolverConfig), ("field_eval", FieldConfig),
-                          ("outputs", OutputConfig)):
-            if name in data:
-                kwargs[name] = build(cls, data[name], name)
-        return ExperimentConfig(**kwargs)
+        return dataclasses.replace(defaults, **sections)
 
     @staticmethod
     def parse(text: str) -> "ExperimentConfig":
@@ -174,9 +159,7 @@ def _assemble(cfg: ExperimentConfig):
     noise = sample_noise(grid, cfg.monte_carlo.paths, d=problem.dim,
                          ell=problem.generators.ell, seed=cfg.monte_carlo.seed,
                          b_stream=cfg.monte_carlo.b_stream)
-    basis = RegressionBasis(kind=cfg.basis.kind, degree=cfg.basis.degree,
-                            bins=cfg.basis.bins)
-    return problem, grid, noise, basis
+    return problem, grid, noise, cfg.basis
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -223,7 +206,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     text = [
         f"problem: {problem.name}",
         f"converged: {diag['converged']}",
-        f"iterations: {diag['iterations']}",
+        f"iterations: {iterations}",
         f"final_gap: {_fmt(history[-1])}",
         f"skorokhod_residual: {_fmt(diag['skorokhod_residual'])}",
         f"y0_mean: {_fmt(float(np.mean(sol.y.values[:, 0, 0])))}",
@@ -258,16 +241,22 @@ def cmd_field(cfg: ExperimentConfig) -> int:
     for n in fc.envelope_n:
         columns += [(f"u_lower_{n}", rep.lower[n]), (f"u_upper_{n}", rep.upper[n])]
     header = ["t"] + [f"x{j}" for j in range(problem.dim)] + [name for name, _ in columns]
-    lines = [",".join(header)]
-    for a, t in enumerate(rep.base.time_nodes):
-        for j, x in enumerate(rep.base.space_points):
-            row = [_fmt(t)] + [_fmt(v) for v in x]
-            row += [_fmt(sample.values[a, j]) for _, sample in columns]
-            lines.append(",".join(row))
-    (out / "field.csv").write_text("\n".join(lines) + "\n")
+
+    def table(attr: str) -> str:
+        # one row per (t, x) point, one column per field; attr picks values or stderr
+        lines = [",".join(header)]
+        for a, t in enumerate(rep.base.time_nodes):
+            for j, x in enumerate(rep.base.space_points):
+                row = [_fmt(t)] + [_fmt(v) for v in x]
+                row += [_fmt(getattr(sample, attr)[a, j]) for _, sample in columns]
+                lines.append(",".join(row))
+        return "\n".join(lines) + "\n"
+
+    (out / "field.csv").write_text(table("values"))
+    (out / "field_stderr.csv").write_text(table("stderr"))
 
     stuck = [(name, t, x) for name, sample in dict(columns).items()
-             for t, x in sample.provenance["non_converged"]]
+             for t, x in sample.non_converged]
     stuck_csv = out / "field_nonconverged.csv"
     stuck_csv.unlink(missing_ok=True)
     if stuck:
@@ -328,7 +317,7 @@ def _suite_skorokhod():
     basis = RegressionBasis(kind="local-polynomial", bins=16, degree=1)
     sol, _, _ = picard_solve(problem, fwd, noise, basis, SolverConfig())
     obstacle = obstacle_values(problem, fwd)
-    residual = skorokhod_residual(sol, obstacle)
+    residual = sol.diagnostics["skorokhod_residual"]
     yv = sol.y.values[:, :, 0]
     bound = 1e-2 * empirical_norm(sol.y, "S2") * float(np.mean(sol.k.values[:, -1, 0]))
     dominance = float(np.min(yv - obstacle))

@@ -45,15 +45,15 @@ class FieldSample:
 
     ``values[i, j]`` approximates u(time_nodes[i], space_points[j]); the
     terminal row is the terminal map evaluated exactly.  ``stderr`` holds the
-    Monte Carlo standard error of each entry given the B path.
+    Monte Carlo standard error of each entry given the B path, and
+    ``non_converged`` the (t, x0) points whose Picard loop did not converge.
     """
 
     space_points: np.ndarray
-    time_indices: tuple[int, ...]
     time_nodes: np.ndarray
     values: np.ndarray
     stderr: np.ndarray
-    provenance: dict
+    non_converged: list[tuple[float, float]]
 
 
 def evaluate_u_field(problem: ProblemSpec, space_points, times,
@@ -91,13 +91,8 @@ def evaluate_u_field(problem: ProblemSpec, space_points, times,
             stderr[a, j] = sol.diagnostics["value_stderr"]
             if not sol.diagnostics["converged"]:
                 non_converged.append((t, float(x[0])))
-    return FieldSample(
-        space_points=pts, time_indices=indices,
-        time_nodes=np.array([grid.nodes[i] for i in indices]),
-        values=values, stderr=stderr,
-        provenance={"seed": noise.seed, "b_stream": noise.b_stream,
-                    "basis": basis, "cfg": cfg, "non_converged": non_converged},
-    )
+    return FieldSample(space_points=pts, time_nodes=np.array([grid.nodes[i] for i in indices]),
+                       values=values, stderr=stderr, non_converged=non_converged)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +108,6 @@ class DossTransform:
     x_points: np.ndarray
     y_nodes: np.ndarray
     eta: np.ndarray  # (N+1, G, ny)
-    dy_step: float
 
     def eta_at(self, t_index: int, x_index: int, y) -> np.ndarray:
         return np.interp(np.asarray(y, dtype=float), self.y_nodes,
@@ -123,19 +117,19 @@ class DossTransform:
         return np.interp(np.asarray(v, dtype=float), self.eta[t_index, x_index],
                          self.y_nodes)
 
-    def inverse_identity_error(self, y=None) -> float:
-        """max |epsilon(eta(y)) - y| over the grid (exact at the knots)."""
-        ys = self.y_nodes if y is None else np.asarray(y, dtype=float)
+    def inverse_identity_error(self) -> float:
+        """max |epsilon(eta(y)) - y| over the y nodes of every slice (exact at
+        the knots)."""
         worst = 0.0
         for i in range(self.eta.shape[0]):
             for j in range(self.eta.shape[1]):
-                back = self.epsilon(i, j, self.eta_at(i, j, ys))
-                worst = max(worst, float(np.max(np.abs(back - ys))))
+                back = self.epsilon(i, j, self.eta_at(i, j, self.y_nodes))
+                worst = max(worst, float(np.max(np.abs(back - self.y_nodes))))
         return worst
 
 
 def solve_doss_eta(gen: GeneratorSpec, grid: TimeGrid, x_points, y_nodes,
-                   b_increments: np.ndarray, *, dy_step: float | None = None) -> DossTransform:
+                   b_increments: np.ndarray) -> DossTransform:
     """March eta backward from the identity at T along the realized B path.
 
     Each step adds the g . dB term and the 1/2 <g, D_y g> drift, the latter
@@ -143,7 +137,7 @@ def solve_doss_eta(gen: GeneratorSpec, grid: TimeGrid, x_points, y_nodes,
     component (in continuous time d[B] = dt exactly; pathwise this quadrature
     keeps the scheme first order in dt for scalar B, where plain dt weighting
     would stall at order 1/2).  D_y g is formed by central differences with
-    step ``dy_step`` (defaulting to 1e-4 of the y range).  A non-monotone
+    a step of 1e-4 of the y range.  A non-monotone
     eta slice aborts with the offending node, signalling that the step is
     too coarse.
     """
@@ -158,7 +152,7 @@ def solve_doss_eta(gen: GeneratorSpec, grid: TimeGrid, x_points, y_nodes,
     n_steps = grid.num_steps
     if b_increments.shape[0] != n_steps:
         raise ValueError("b_increments do not match the grid")
-    h = dy_step if dy_step is not None else 1e-4 * float(ys[-1] - ys[0])
+    h = 1e-4 * float(ys[-1] - ys[0])
     g_count, ny = len(xp), len(ys)
     d = xp.shape[1]
     x_rep = np.repeat(xp, ny, axis=0)
@@ -177,8 +171,7 @@ def solve_doss_eta(gen: GeneratorSpec, grid: TimeGrid, x_points, y_nodes,
         if np.any(np.diff(eta[i], axis=1) <= 0):
             raise StepSizeError(
                 f"eta lost monotonicity in y at node {i}; refine the time step")
-    return DossTransform(t_nodes=grid.nodes, x_points=xp, y_nodes=ys,
-                         eta=eta, dy_step=h)
+    return DossTransform(t_nodes=grid.nodes, x_points=xp, y_nodes=ys, eta=eta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,8 +198,7 @@ class MonotoneFieldReport:
 def monotone_field_sequence(problem: ProblemSpec, n_values, space_points, times,
                             noise: NoiseEnsemble, basis: RegressionBasis,
                             cfg: SolverConfig, *, u_range: float = 50.0,
-                            u_step: float = 1e-3,
-                            local_lipschitz: float = 1.0) -> MonotoneFieldReport:
+                            u_step: float = 1e-3) -> MonotoneFieldReport:
     """Fields from the lower/upper envelope generators for each n, with the
     base field, monotonicity counts and the bracket containment check.  An
     empty ``n_values`` gives the base field alone."""
@@ -217,9 +209,9 @@ def monotone_field_sequence(problem: ProblemSpec, n_values, space_points, times,
     gtol: dict[int, float] = {}
     for n in n_values:
         lo = lipschitz_envelope(problem.generators, n, "lower", u_range=u_range,
-                                u_step=u_step, local_lipschitz=local_lipschitz)
+                                u_step=u_step)
         up = lipschitz_envelope(problem.generators, n, "upper", u_range=u_range,
-                                u_step=u_step, local_lipschitz=local_lipschitz)
+                                u_step=u_step)
         gtol[n] = lo.grid_tol
         lower[n] = evaluate_u_field(dataclasses.replace(problem, generators=lo.as_generator()),
                                     space_points, times, noise, basis, cfg)

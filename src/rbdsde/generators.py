@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+# check_h4_witness and validate_problem draw their sampled arguments with this
+# spread; every sampled check here allows _CHECK_TOL of rounding
+_SAMPLE_SCALE = 3.0
+_CHECK_TOL = 1e-9
+
+
 class EnvelopeRangeError(ValueError):
     """An envelope was evaluated outside the range covered by its u grid."""
 
@@ -317,35 +323,33 @@ class H4WitnessReport:
         return self.f_ok and self.g_ok
 
 
-def check_h4_witness(gen: GeneratorSpec, horizon: float, dim: int = 1,
-                     n_samples: int = 10_000, tol: float = 1e-9,
-                     *, y_scale: float = 3.0, z_scale: float = 3.0,
-                     x_scale: float = 3.0, seed: int = 77001) -> H4WitnessReport:
+def check_h4_witness(gen: GeneratorSpec, horizon: float,
+                     n_samples: int = 10_000) -> H4WitnessReport:
     """Sampled check of the squared modulus bounds on the generator pair.
 
-    For random quadruples, |f(t,x,y1,z1) - f(t,x,y2,z2)|^2 must not exceed
-    rho(t, |y1-y2|^2) + C ||z1-z2||^2, and likewise for g with alpha in place
-    of C.
+    For random quadruples in one state dimension, |f(t,x,y1,z1) -
+    f(t,x,y2,z2)|^2 must not exceed rho(t, |y1-y2|^2) + C ||z1-z2||^2, and
+    likewise for g with alpha in place of C.
     """
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = np.random.Generator(np.random.Philox(key=[77001, 0]))
     batches = 32
     per = max(1, n_samples // batches)
     worst_f = 0.0
     worst_g = 0.0
     for _ in range(batches):
         t = float(rng.uniform(0.0, horizon))
-        x = rng.normal(0.0, x_scale, size=(per, dim))
-        y1 = rng.normal(0.0, y_scale, size=per)
-        y2 = rng.normal(0.0, y_scale, size=per)
-        z1 = rng.normal(0.0, z_scale, size=(per, dim))
-        z2 = rng.normal(0.0, z_scale, size=(per, dim))
+        x = rng.normal(0.0, _SAMPLE_SCALE, size=(per, 1))
+        y1 = rng.normal(0.0, _SAMPLE_SCALE, size=per)
+        y2 = rng.normal(0.0, _SAMPLE_SCALE, size=per)
+        z1 = rng.normal(0.0, _SAMPLE_SCALE, size=(per, 1))
+        z2 = rng.normal(0.0, _SAMPLE_SCALE, size=(per, 1))
         rho = eval_modulus(gen.modulus, t, (y1 - y2) ** 2)
         dz2 = np.sum((z1 - z2) ** 2, axis=1)
         df2 = (gen.f(t, x, y1, z1) - gen.f(t, x, y2, z2)) ** 2
         worst_f = max(worst_f, float(np.max(df2 - rho - gen.z_lipschitz * dz2)))
         dg2 = np.sum((gen.g(t, x, y1, z1) - gen.g(t, x, y2, z2)) ** 2, axis=1)
         worst_g = max(worst_g, float(np.max(dg2 - rho - gen.z_fraction * dz2)))
-    return H4WitnessReport(f_ok=worst_f <= tol, g_ok=worst_g <= tol,
+    return H4WitnessReport(f_ok=worst_f <= _CHECK_TOL, g_ok=worst_g <= _CHECK_TOL,
                            max_f_violation=worst_f, max_g_violation=worst_g)
 
 
@@ -362,12 +366,11 @@ class ProblemReport:
                 and self.obstacle_growth)
 
 
-def validate_problem(problem: ProblemSpec, n_samples: int = 1000, tol: float = 1e-9,
-                     *, x_scale: float = 3.0, seed: int = 77002) -> ProblemReport:
+def validate_problem(problem: ProblemSpec, n_samples: int = 1000) -> ProblemReport:
     """Sampled check of the obstacle-problem data assumptions."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = np.random.Generator(np.random.Philox(key=[77002, 0]))
     d = problem.dim
-    scale = x_scale * max(1.0, float(np.max(np.abs(problem.spot), initial=1.0)))
+    scale = _SAMPLE_SCALE * max(1.0, float(np.max(np.abs(problem.spot), initial=1.0)))
     xs = problem.spot[None, :] + rng.normal(0.0, scale, size=(n_samples, d))
     worst = 0.0
 
@@ -376,7 +379,7 @@ def validate_problem(problem: ProblemSpec, n_samples: int = 1000, tol: float = 1
     else:
         gap = problem.obstacle(problem.horizon, xs) - problem.terminal(xs)
         worst = max(worst, float(np.max(gap)))
-        dom_ok = float(np.max(gap)) <= tol
+        dom_ok = float(np.max(gap)) <= _CHECK_TOL
 
     x2 = problem.spot[None, :] + rng.normal(0.0, scale, size=(n_samples, d))
     dx = np.sqrt(np.sum((xs - x2) ** 2, axis=1))
@@ -386,7 +389,7 @@ def validate_problem(problem: ProblemSpec, n_samples: int = 1000, tol: float = 1
     dl = np.abs(problem.terminal(xs) - problem.terminal(x2))
     lip_viol = float(np.max(np.concatenate([db - L * dx, ds - L * dx, dl - L * dx])))
     worst = max(worst, lip_viol)
-    lip_ok = lip_viol <= tol
+    lip_ok = lip_viol <= _CHECK_TOL
 
     if problem.obstacle is None:
         growth_ok = True
@@ -397,7 +400,7 @@ def validate_problem(problem: ProblemSpec, n_samples: int = 1000, tol: float = 1
         for t in ts:
             growth_viol = max(growth_viol, float(np.max(np.abs(problem.obstacle(float(t), xs)) - bound)))
         worst = max(worst, growth_viol)
-        growth_ok = growth_viol <= tol
+        growth_ok = growth_viol <= _CHECK_TOL
 
     return ProblemReport(terminal_dominates_obstacle=dom_ok,
                          coefficients_lipschitz=lip_ok,
@@ -421,16 +424,15 @@ class EnvelopeApproximant:
 
     ``direction`` "lower" evaluates inf_u { f(t,x,u,z) + n|y-u| }, "upper"
     the sup with -n|y-u|; the inf over the rationals is replaced by the grid,
-    which over/undershoots by at most (n + local Lipschitz) * step, exposed
-    as ``grid_tol``.
+    which over/undershoots by at most (n + L) * step for a base that is
+    L-Lipschitz in y; ``grid_tol`` is this bound at L = 1.  For a separable
+    base, phi below is its signed y-profile on the grid.
     """
 
     base: GeneratorSpec
     n: int
     direction: str
     u_nodes: np.ndarray
-    local_lipschitz: float = 1.0
-    _phi: np.ndarray | None = None           # signed profile on the grid (separable base)
     _left_min: np.ndarray | None = None      # running min of phi - n u and its argmin
     _left_arg: np.ndarray | None = None
     _right_min: np.ndarray | None = None     # suffix min of phi + n u and its argmin
@@ -438,11 +440,13 @@ class EnvelopeApproximant:
 
     @property
     def step(self) -> float:
-        return float(self.u_nodes[1] - self.u_nodes[0])
+        # the nominal spacing; a difference of neighbouring nodes would carry
+        # the cancellation error of the node values
+        return float((self.u_nodes[-1] - self.u_nodes[0]) / (len(self.u_nodes) - 1))
 
     @property
     def grid_tol(self) -> float:
-        return (self.n + self.local_lipschitz) * self.step
+        return (self.n + 1.0) * self.step
 
     @property
     def sign(self) -> float:
@@ -456,7 +460,7 @@ class EnvelopeApproximant:
         if np.any(y < u[0]) or np.any(y > u[-1]):
             raise EnvelopeRangeError(
                 f"query y outside the envelope grid [{u[0]}, {u[-1]}]")
-        if self._phi is not None:
+        if self._left_min is not None:
             core, arg = self._eval_profile(y)
             vals = self.sign * core + self.base.f_rest(t, x, z)
         else:
@@ -514,8 +518,7 @@ class EnvelopeApproximant:
 
 
 def lipschitz_envelope(base: GeneratorSpec, n: int, direction: str,
-                       *, u_range: float = 50.0, u_step: float = 1e-3,
-                       local_lipschitz: float = 1.0) -> EnvelopeApproximant:
+                       *, u_range: float = 50.0, u_step: float = 1e-3) -> EnvelopeApproximant:
     """Build the n-Lipschitz lower or upper envelope of the base generator."""
     if direction not in ("lower", "upper"):
         raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
@@ -524,7 +527,7 @@ def lipschitz_envelope(base: GeneratorSpec, n: int, direction: str,
                          f"{max(1, math.ceil(base.envelope_min_n))}")
     count = int(round(2.0 * u_range / u_step)) + 1
     u_nodes = np.linspace(-u_range, u_range, count)
-    phi = left_min = left_arg = right_min = right_arg = None
+    left_min = left_arg = right_min = right_arg = None
     if base.separable:
         sgn = 1.0 if direction == "lower" else -1.0
         phi = sgn * base.f_y_profile(u_nodes)
@@ -532,8 +535,7 @@ def lipschitz_envelope(base: GeneratorSpec, n: int, direction: str,
         rm, ra = _running_argmin((phi + n * u_nodes)[::-1])
         right_min, right_arg = rm[::-1].copy(), (len(u_nodes) - 1 - ra)[::-1].copy()
     return EnvelopeApproximant(base=base, n=int(n), direction=direction,
-                               u_nodes=u_nodes, local_lipschitz=local_lipschitz,
-                               _phi=phi, _left_min=left_min, _left_arg=left_arg,
+                               u_nodes=u_nodes, _left_min=left_min, _left_arg=left_arg,
                                _right_min=right_min, _right_arg=right_arg)
 
 
@@ -557,14 +559,13 @@ class EnvelopePropertyReport:
                 and self.xy_lipschitz_ok and self.z_lipschitz_ok and self.converges_ok)
 
 
-def envelope_property_check(base: GeneratorSpec, n_values, *, horizon: float = 1.0,
-                            num_points: int = 10_000, u_range: float = 50.0,
-                            u_step: float = 1e-3, local_lipschitz: float = 1.0,
+def envelope_property_check(base: GeneratorSpec, n_values, *, num_points: int = 10_000,
+                            u_range: float = 50.0, u_step: float = 1e-3,
                             growth_phi: float = 2.0, growth_c: float = 2.0,
-                            tol: float = 1e-9, y_scale: float = 2.0,
-                            seed: int = 77003) -> EnvelopePropertyReport:
+                            y_scale: float = 2.0, seed: int = 77003) -> EnvelopePropertyReport:
     """Check the sandwich, monotonicity, growth, Lipschitz and convergence
-    properties of the envelope family on sampled points.
+    properties of the envelope family on sampled points at one time in
+    [0, 1].
 
     A violation at a point whose envelope optimizer saturates the u-grid edge
     is reported as a range truncation (``boundary_flagged``), not a property
@@ -575,7 +576,7 @@ def envelope_property_check(base: GeneratorSpec, n_values, *, horizon: float = 1
         raise ValueError("need at least two consecutive n values")
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     dim = 1
-    t = float(rng.uniform(0.0, horizon))
+    t = float(rng.uniform(0.0, 1.0))
     xs = rng.normal(0.0, 1.0, size=(num_points, dim))
     ys = rng.normal(0.0, y_scale, size=num_points)
     zs = rng.normal(0.0, 1.0, size=(num_points, dim))
@@ -585,16 +586,15 @@ def envelope_property_check(base: GeneratorSpec, n_values, *, horizon: float = 1
 
     # each envelope is built once and dropped once its values are taken
     lowers, uppers, lo_hits, up_hits, xy_moved, z_moved = {}, {}, {}, {}, {}, {}
+    grid_tol = {}
     for n in n_values:
-        lo = lipschitz_envelope(base, n, "lower", u_range=u_range, u_step=u_step,
-                                local_lipschitz=local_lipschitz)
-        up = lipschitz_envelope(base, n, "upper", u_range=u_range, u_step=u_step,
-                                local_lipschitz=local_lipschitz)
+        lo = lipschitz_envelope(base, n, "lower", u_range=u_range, u_step=u_step)
+        up = lipschitz_envelope(base, n, "upper", u_range=u_range, u_step=u_step)
+        grid_tol[n] = lo.grid_tol
         lowers[n], lo_hits[n] = lo.evaluate(t, xs, ys, zs, return_boundary=True)
         uppers[n], up_hits[n] = up.evaluate(t, xs, ys, zs, return_boundary=True)
         xy_moved[n] = lo.evaluate(t, xs[perm], ys[perm], zs, return_boundary=True)
         z_moved[n] = lo.evaluate(t, xs, ys, z2, return_boundary=True)
-    grid_tol = {n: (n + local_lipschitz) * (2.0 * u_range / (len(lo.u_nodes) - 1)) for n in n_values}
     any_hit = np.zeros(num_points, dtype=bool)
     for n in n_values:
         any_hit |= lo_hits[n] | up_hits[n]
@@ -607,7 +607,7 @@ def envelope_property_check(base: GeneratorSpec, n_values, *, horizon: float = 1
         clean = np.where(hits, -np.inf, viol)
         v = float(np.max(clean, initial=-np.inf))
         worst = max(worst, v)
-        return v <= tol
+        return v <= _CHECK_TOL
 
     sandwich = True
     for n in n_values:
@@ -756,11 +756,10 @@ def compile_expression(src: str, params: dict | None = None):
 
 
 def expression_generator(f_src: str, g_src: str, modulus: ModulusSpec,
-                         *, z_lipschitz: float = 1.0, z_fraction: float = 0.5,
-                         params: dict | None = None) -> GeneratorSpec:
+                         *, z_lipschitz: float = 1.0, z_fraction: float = 0.5) -> GeneratorSpec:
     """Build a GeneratorSpec from expression strings for f and g (scalar g)."""
-    f_fn = compile_expression(f_src, params)
-    g_fn = compile_expression(g_src, params)
+    f_fn = compile_expression(f_src)
+    g_fn = compile_expression(g_src)
 
     def g(t, x, y, z):
         return g_fn(t, x, y, z)[:, None]

@@ -52,6 +52,11 @@ _VARIANTS = ("lipschitz", "log", "loglog", "tabulated")
 _LOG_DELTA = math.exp(-2)
 _LOGLOG_DELTA = math.exp(-3)
 
+# verify_modulus_axioms samples u in (0, _AXIOM_U_MAX] and allows _AXIOM_TOL of
+# rounding in each sampled check
+_AXIOM_U_MAX = 4.0
+_AXIOM_TOL = 1e-9
+
 
 class NonTerminationError(RuntimeError):
     """Horizon partition failed to reach 0 within the segment cap.
@@ -248,28 +253,26 @@ class AxiomReport:
         return self.zero_at_zero and self.monotone and self.concave and self.time_integrable
 
 
-def verify_modulus_axioms(spec: ModulusSpec, samples: int = 1000, tol: float = 1e-9,
-                          *, u_max: float = 4.0, horizon: float = 1.0,
-                          seed: int = 20240901) -> AxiomReport:
-    """Check the modulus axioms on sampled points.
+def verify_modulus_axioms(spec: ModulusSpec, samples: int = 1000) -> AxiomReport:
+    """Check the modulus axioms on sampled points of (0, 4].
 
     Zero at zero, monotonicity on a log/linear sample mix, concavity by the
-    secant test (for u1 < u2 < u3: slope(u1, u2) >= slope(u2, u3) - tol), and
-    finiteness of the time integral at fixed u.
+    secant test (for u1 < u2 < u3: slope(u1, u2) >= slope(u2, u3) - 1e-9), and
+    finiteness of the time integral over [0, 1] at fixed u.
     """
     if samples < 3:
         raise ValueError("need at least 3 samples")
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = np.random.Generator(np.random.Philox(key=[20240901, 0]))
 
-    zero_ok = abs(eval_modulus(spec, 0.0, 0.0)) <= tol
+    zero_ok = abs(eval_modulus(spec, 0.0, 0.0)) <= _AXIOM_TOL
 
     grid = np.unique(np.concatenate([
-        np.geomspace(1e-12, u_max, samples // 2),
-        np.linspace(u_max / samples, u_max, samples - samples // 2),
+        np.geomspace(1e-12, _AXIOM_U_MAX, samples // 2),
+        np.linspace(_AXIOM_U_MAX / samples, _AXIOM_U_MAX, samples - samples // 2),
     ]))
     vals = eval_modulus(spec, 0.0, grid)
     mono_viol = float(np.max(np.maximum(-np.diff(vals), 0.0), initial=0.0))
-    mono_ok = mono_viol <= tol
+    mono_ok = mono_viol <= _AXIOM_TOL
 
     idx = np.sort(rng.choice(len(grid), size=(samples, 3), replace=True), axis=1)
     idx = idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
@@ -277,11 +280,11 @@ def verify_modulus_axioms(spec: ModulusSpec, samples: int = 1000, tol: float = 1
     s12 = (vals[idx[:, 1]] - vals[idx[:, 0]]) / (u2 - u1)
     s23 = (vals[idx[:, 2]] - vals[idx[:, 1]]) / (u3 - u2)
     conc_viol = float(np.max(np.maximum(s23 - s12, 0.0), initial=0.0))
-    conc_ok = conc_viol <= tol
+    conc_ok = conc_viol <= _AXIOM_TOL
 
-    ts = np.linspace(0.0, horizon, 65)
+    ts = np.linspace(0.0, 1.0, 65)
     integ_ok = True
-    for u_fix in (1.0, u_max):
+    for u_fix in (1.0, _AXIOM_U_MAX):
         ys = np.array([eval_modulus(spec, t, u_fix) for t in ts])
         if not np.all(np.isfinite(ys)) or not np.isfinite(np.trapezoid(ys, ts)):
             integ_ok = False
@@ -291,17 +294,16 @@ def verify_modulus_axioms(spec: ModulusSpec, samples: int = 1000, tol: float = 1
                        max_concavity_violation=conc_viol)
 
 
-def osgood_integral(spec: ModulusSpec, eps: float, u0: float = 1.0,
-                    *, points_per_decade: int = 256) -> float:
+def osgood_integral(spec: ModulusSpec, eps: float, u0: float = 1.0) -> float:
     """Quadrature of I(eps) = integral_eps^u0 du / rho(0, u).
 
     Evaluated after the substitution u = e^s, which flattens the integrand
-    for every built-in profile.
+    for every built-in profile, on 256 trapezoid nodes per decade.
     """
     if not 0 < eps < u0:
         raise ValueError("need 0 < eps < u0")
     decades = math.log10(u0 / eps)
-    n = max(33, int(points_per_decade * decades) + 1)
+    n = max(33, int(256 * decades) + 1)
     s = np.linspace(math.log(eps), math.log(u0), n)
     us = np.exp(s)
     rho = eval_modulus(spec, 0.0, us)
@@ -324,23 +326,21 @@ class UniquenessReport:
     reason: str = ""
 
 
-def condition_a_uniqueness_check(spec: ModulusSpec, M: float, T: float, eps_ladder,
-                                 *, u0: float = 1.0, abs_rate: float = 1.0,
-                                 ratio_threshold: float = 0.6,
-                                 decay_factor: float = 0.5) -> UniquenessReport:
+def condition_a_uniqueness_check(spec: ModulusSpec, M: float, T: float,
+                                 eps_ladder) -> UniquenessReport:
     """Numerical test of the uniqueness property of u' = -M rho(t, u), u(T)=0.
 
     Two independent probes, both of which must agree for a definite verdict:
 
-    (a) Osgood divergence: I(eps) = integral_eps^u0 du/rho(u) must keep
+    (a) Osgood divergence: I(eps) = integral_eps^1 du/rho(u) must keep
         growing as eps drops.  Divergence is declared when the tail increment
-        rate stays at or above ``abs_rate`` per decade, or when the ratio of
-        successive tail increments stays at or above ``ratio_threshold`` (the
-        ratio form is what separates logarithmic divergence from convergence
-        at double precision).
+        rate stays at or above 1 per decade, or when the ratio of successive
+        tail increments stays at or above 0.6 (the ratio form is what
+        separates logarithmic divergence from convergence at double
+        precision).
     (b) Shooting: integrating u' = -M rho(t, u) backward from u(T) = eps, the
-        value u(0) must decrease along the ladder and shrink overall by at
-        least ``decay_factor``.
+        value u(0) must decrease along the ladder and shrink overall to at
+        most half its value at the first rung.
 
     Both pass -> "passes"; both fail -> "fails"; disagreement or a modulus
     that vanishes away from 0 -> "inconclusive".
@@ -348,18 +348,18 @@ def condition_a_uniqueness_check(spec: ModulusSpec, M: float, T: float, eps_ladd
     eps = np.asarray(eps_ladder, dtype=float)
     if eps.ndim != 1 or len(eps) < 4:
         raise ValueError("eps_ladder must be a 1-D ladder with at least 4 rungs")
-    if np.any(np.diff(eps) >= 0) or eps[-1] <= 0 or eps[0] >= u0:
-        raise ValueError("eps_ladder must decrease strictly inside (0, u0)")
+    if np.any(np.diff(eps) >= 0) or eps[-1] <= 0 or eps[0] >= 1.0:
+        raise ValueError("eps_ladder must decrease strictly inside (0, 1)")
 
-    probe = np.geomspace(eps[-1], u0, 257)
+    probe = np.geomspace(eps[-1], 1.0, 257)
     if np.any(eval_modulus(spec, 0.0, probe) <= 0):
         return UniquenessReport(verdict="inconclusive", osgood_diverges=False,
                                 shooting_vanishes=False, integral_values=np.array([]),
                                 tail_rates=np.array([]), tail_ratios=np.array([]),
                                 shoot_values=np.array([]),
-                                reason="modulus vanishes on part of (0, u0]")
+                                reason="modulus vanishes on part of (0, 1]")
 
-    integrals = np.array([osgood_integral(spec, e, u0) for e in eps])
+    integrals = np.array([osgood_integral(spec, e) for e in eps])
     increments = np.diff(integrals)
     decades = np.log10(eps[:-1] / eps[1:])
     rates = increments / decades
@@ -368,8 +368,8 @@ def condition_a_uniqueness_check(spec: ModulusSpec, M: float, T: float, eps_ladd
     tail_rates = rates[-tail:]
     tail_ratios = ratios[-min(3, len(ratios)):] if len(ratios) else np.array([])
     positive = bool(np.all(increments > 0))
-    osgood = positive and (float(np.mean(tail_rates)) >= abs_rate
-                           or (len(tail_ratios) > 0 and float(np.mean(tail_ratios)) >= ratio_threshold))
+    osgood = positive and (float(np.mean(tail_rates)) >= 1.0
+                           or (len(tail_ratios) > 0 and float(np.mean(tail_ratios)) >= 0.6))
 
     def rhs(t, u):
         return [-M * eval_modulus(spec, t, max(u[0], 0.0))]
@@ -386,7 +386,7 @@ def condition_a_uniqueness_check(spec: ModulusSpec, M: float, T: float, eps_ladd
         shoots.append(float(sol.y[0, -1]))
     shoots = np.array(shoots)
     decreasing = bool(np.all(shoots[1:] <= shoots[:-1] * (1.0 + 1e-9)))
-    shooting = decreasing and shoots[0] > 0 and shoots[-1] <= decay_factor * shoots[0]
+    shooting = decreasing and shoots[0] > 0 and shoots[-1] <= 0.5 * shoots[0]
 
     if osgood and shooting:
         verdict = "passes"
@@ -478,13 +478,13 @@ def _time_integral(spec: ModulusSpec, u_const: float, a: float, b: float) -> flo
 
 
 def horizon_partition(spec: ModulusSpec, M: float, budgets, T: float,
-                      *, p_max: int = 10_000, tol: float = 1e-10) -> np.ndarray:
+                      *, p_max: int = 10_000) -> np.ndarray:
     """Backward partition T = T_0 > T_1 > ... > T_p = 0 by prescribed rho-mass.
 
     Segment p receives budget mu_0^p from the ``budgets`` procedure, sets
     M_p = 2 mu_0^p, and places T_p so that the rho(., M_p) mass over
-    [T_p, T_{p-1}] equals mu_0^p / M (found by bisection at tolerance
-    ``tol``).  When the remaining mass down to 0 is at most the target, the
+    [T_p, T_{p-1}] equals mu_0^p / M (found by bisection down to an interval
+    of 1e-10).  When the remaining mass down to 0 is at most the target, the
     segment closes at T_p = 0 and the partition terminates.  After ``p_max``
     segments without closing, raises ``NonTerminationError`` carrying the
     breakpoints reached.
@@ -505,7 +505,7 @@ def horizon_partition(spec: ModulusSpec, M: float, budgets, T: float,
             breakpoints.append(0.0)
             return np.array(breakpoints)
         lo, hi = 0.0, top  # mass(lo) >= target, mass(hi) = 0
-        while hi - lo > tol:
+        while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
             if _time_integral(spec, m_p, mid, top) >= target:
                 lo = mid

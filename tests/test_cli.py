@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rbdsde.cli import (BasisConfig, ExperimentConfig, GridConfig, MonteCarloConfig,
-                        ProblemConfig, _build_parser, main)
+from rbdsde.cli import (ExperimentConfig, GridConfig, MonteCarloConfig, ProblemConfig,
+                        _build_parser, main)
 from rbdsde.field import evaluate_u_field
 from rbdsde.generators import builtin_problem, lipschitz_envelope
 from rbdsde.paths import build_grid, sample_noise
@@ -29,7 +29,7 @@ class TestConfig:
             problem=ProblemConfig(name="paper-1-4", overrides=(("C", 2.0), ("alpha", 0.5))),
             grid=GridConfig(T=0.75, N=40),
             monte_carlo=MonteCarloConfig(paths=1234, seed=99, b_stream=2),
-            basis=BasisConfig(kind="polynomial", degree=4, bins=0),
+            basis=RegressionBasis(kind="polynomial", degree=4, bins=0),
             solver=SolverConfig(picard_tol=1e-6, z_scheme="finite-increment"),
         )
         again = ExperimentConfig.parse(cfg.render())
@@ -64,6 +64,21 @@ class TestConfig:
         assert run(["solve", "--config", str(f)], monkeypatch, tmp_path) == 2
         err = capsys.readouterr().err
         assert "config error: section 'solver': picard_tol must be positive" in err
+
+    def test_bad_basis_value_names_its_section(self, tmp_path, monkeypatch, capsys):
+        # the basis section is checked when the config loads, for every subcommand
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"basis": {"kind": "nope"}}))
+        assert run(["verify", "doss", "--config", str(f)], monkeypatch, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "config error: section 'basis': unknown basis kind 'nope'" in err
+
+    def test_partial_section_keeps_defaults(self):
+        cfg = ExperimentConfig.parse(json.dumps({"basis": {"kind": "polynomial"},
+                                                 "grid": {"N": 8}}))
+        assert cfg.basis == RegressionBasis(kind="polynomial", degree=1, bins=16)
+        assert cfg.grid == GridConfig(T=1.0, N=8)
+        assert cfg.solver == SolverConfig()
 
     def test_threads_flag_removed(self):
         with pytest.raises(SystemExit) as exc:
@@ -183,11 +198,32 @@ class TestFieldCommand:
         assert run(["field", "--config", str(f)], monkeypatch, tmp_path) == 3
         out = tmp_path / "out"
         assert len((out / "field.csv").read_text().splitlines()) == 5
+        assert len((out / "field_stderr.csv").read_text().splitlines()) == 5
         # terminal points are exact and never iterate
         assert (out / "field_nonconverged.csv").read_text().splitlines() == [
             "field,t,x0", "u,0.0,-1.0", "u,0.0,1.0"]
         err = capsys.readouterr().err
         assert "t=0.0, x0=-1.0" in err and "t=0.0, x0=1.0" in err
+
+    def test_stderr_file_matches_field_sample(self, tmp_path, monkeypatch):
+        code = run(["field", "--problem", "lipschitz-linear", "--N", "8", "--paths", "400",
+                    "--seed", "5", "--x-points", "3", "--times", "0.0", "1.0"],
+                   monkeypatch, tmp_path)
+        assert code == 0
+        out = tmp_path / "out"
+        values = (out / "field.csv").read_text().splitlines()
+        errors = (out / "field_stderr.csv").read_text().splitlines()
+        assert errors[0] == values[0] == "t,x0,u"
+        assert [r.split(",")[:2] for r in errors] == [r.split(",")[:2] for r in values]
+        problem = builtin_problem("lipschitz-linear", horizon=1.0)
+        noise = sample_noise(build_grid(1.0, 8), 400, d=problem.dim,
+                             ell=problem.generators.ell, seed=5)
+        sample = evaluate_u_field(problem, np.linspace(-1.0, 1.0, 3), [0.0, 1.0], noise,
+                                  RegressionBasis(kind="local-polynomial", degree=1, bins=16),
+                                  SolverConfig())
+        assert [r.split(",")[2] for r in errors[1:]] == [
+            repr(float(v)) for v in sample.stderr.ravel()]
+        assert sample.stderr[1].tolist() == [0.0, 0.0, 0.0]
 
     def test_determinism(self, tmp_path, monkeypatch):
         args = ["field", "--problem", "american-put-like", "--T", "0.5", "--N", "10",

@@ -149,6 +149,12 @@ class TestEnvelope:
         b = slow.evaluate(0.2, xs, ys, zs)
         assert np.max(np.abs(a - b)) < 1e-12
 
+    def test_grid_tol_uses_the_nominal_spacing(self):
+        p = builtin_problem("paper-1-4")
+        for u_range, u_step, n in ((20.0, 1e-3, 4), (50.0, 1e-3, 8), (6.0, 1e-2, 4)):
+            env = lipschitz_envelope(p.generators, n, "lower", u_range=u_range, u_step=u_step)
+            assert env.grid_tol == (n + 1) * (2 * u_range / (len(env.u_nodes) - 1))
+
     def test_range_error(self):
         p = builtin_problem("paper-1-4")
         env = lipschitz_envelope(p.generators, 2, "lower", u_range=2.0, u_step=1e-2)
