@@ -284,8 +284,7 @@ def _suite_condition_a():
 def _suite_envelopes():
     problem = builtin_problem("paper-1-4")
     rep = envelope_property_check(problem.generators, [4, 8], num_points=2000,
-                                  u_range=20.0, u_step=1e-3,
-                                  growth_phi=2.0, growth_c=2.0)
+                                  u_range=20.0, u_step=1e-3)
     names = ["sandwich", "monotone", "growth", "xy_lipschitz", "z_lipschitz", "converges"]
     flags = [rep.sandwich_ok, rep.monotone_ok, rep.growth_ok,
              rep.xy_lipschitz_ok, rep.z_lipschitz_ok, rep.converges_ok]
@@ -304,7 +303,7 @@ def _suite_comparison():
     for kind, amount in (("terminal", 1.0), ("obstacle", 0.5), ("generator", 0.5)):
         other = shifted_problem(problem, kind, amount)
         rep = comparison_experiment(problem, other, fwd, noise, basis, solver_cfg)
-        checks.append((f"comparison.{kind}-shift", rep.within(3.0),
+        checks.append((f"comparison.{kind}-shift", rep.within(),
                        f"max_mean_pos={rep.max_mean_positive_part:.3e}"))
     return checks
 
@@ -401,11 +400,11 @@ def cmd_compare(cfg: ExperimentConfig, kind: str, amount: float) -> int:
         f"shift: {kind} by {amount}",
         f"max_mean_positive_part: {_fmt(rep.max_mean_positive_part)}",
         f"violation_fraction: {_fmt(rep.violation_fraction)}",
-        f"within_3_stderr: {rep.within(3.0)}",
+        f"within_3_stderr: {rep.within()}",
     ]
     (out / "compare.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    return _EXIT_OK if rep.within(3.0) else 1
+    return _EXIT_OK if rep.within() else 1
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,7 @@ class MonotoneFieldReport:
 
 def monotone_field_sequence(problem: ProblemSpec, n_values, space_points, times,
                             noise: NoiseEnsemble, basis: RegressionBasis,
-                            cfg: SolverConfig, *, u_range: float = 50.0,
-                            u_step: float = 1e-3) -> MonotoneFieldReport:
+                            cfg: SolverConfig, *, u_range: float = 50.0) -> MonotoneFieldReport:
     """Fields from the lower/upper envelope generators for each n, with the
     base field, monotonicity counts and the bracket containment check.  An
     empty ``n_values`` gives the base field alone."""
@@ -208,10 +207,8 @@ def monotone_field_sequence(problem: ProblemSpec, n_values, space_points, times,
     upper: dict[int, FieldSample] = {}
     gtol: dict[int, float] = {}
     for n in n_values:
-        lo = lipschitz_envelope(problem.generators, n, "lower", u_range=u_range,
-                                u_step=u_step)
-        up = lipschitz_envelope(problem.generators, n, "upper", u_range=u_range,
-                                u_step=u_step)
+        lo = lipschitz_envelope(problem.generators, n, "lower", u_range=u_range)
+        up = lipschitz_envelope(problem.generators, n, "upper", u_range=u_range)
         gtol[n] = lo.grid_tol
         lower[n] = evaluate_u_field(dataclasses.replace(problem, generators=lo.as_generator()),
                                     space_points, times, noise, basis, cfg)

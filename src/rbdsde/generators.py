@@ -323,8 +323,7 @@ class H4WitnessReport:
         return self.f_ok and self.g_ok
 
 
-def check_h4_witness(gen: GeneratorSpec, horizon: float,
-                     n_samples: int = 10_000) -> H4WitnessReport:
+def check_h4_witness(gen: GeneratorSpec, horizon: float) -> H4WitnessReport:
     """Sampled check of the squared modulus bounds on the generator pair.
 
     For random quadruples in one state dimension, |f(t,x,y1,z1) -
@@ -333,7 +332,7 @@ def check_h4_witness(gen: GeneratorSpec, horizon: float,
     """
     rng = np.random.Generator(np.random.Philox(key=[77001, 0]))
     batches = 32
-    per = max(1, n_samples // batches)
+    per = 10_000 // batches
     worst_f = 0.0
     worst_g = 0.0
     for _ in range(batches):
@@ -366,12 +365,12 @@ class ProblemReport:
                 and self.obstacle_growth)
 
 
-def validate_problem(problem: ProblemSpec, n_samples: int = 1000) -> ProblemReport:
+def validate_problem(problem: ProblemSpec) -> ProblemReport:
     """Sampled check of the obstacle-problem data assumptions."""
     rng = np.random.Generator(np.random.Philox(key=[77002, 0]))
     d = problem.dim
     scale = _SAMPLE_SCALE * max(1.0, float(np.max(np.abs(problem.spot), initial=1.0)))
-    xs = problem.spot[None, :] + rng.normal(0.0, scale, size=(n_samples, d))
+    xs = problem.spot[None, :] + rng.normal(0.0, scale, size=(1000, d))
     worst = 0.0
 
     if problem.obstacle is None:
@@ -381,7 +380,7 @@ def validate_problem(problem: ProblemSpec, n_samples: int = 1000) -> ProblemRepo
         worst = max(worst, float(np.max(gap)))
         dom_ok = float(np.max(gap)) <= _CHECK_TOL
 
-    x2 = problem.spot[None, :] + rng.normal(0.0, scale, size=(n_samples, d))
+    x2 = problem.spot[None, :] + rng.normal(0.0, scale, size=(1000, d))
     dx = np.sqrt(np.sum((xs - x2) ** 2, axis=1))
     L = problem.lipschitz_const * (1.0 + 1e-12)
     db = np.sqrt(np.sum((problem.drift(xs) - problem.drift(x2)) ** 2, axis=1))

@@ -57,6 +57,9 @@ _LOGLOG_DELTA = math.exp(-3)
 _AXIOM_U_MAX = 4.0
 _AXIOM_TOL = 1e-9
 
+# horizon_partition bisects each breakpoint down to an interval this wide
+_BISECT_TOL = 1e-10
+
 
 class NonTerminationError(RuntimeError):
     """Horizon partition failed to reach 0 within the segment cap.
@@ -294,17 +297,17 @@ def verify_modulus_axioms(spec: ModulusSpec, samples: int = 1000) -> AxiomReport
                        max_concavity_violation=conc_viol)
 
 
-def osgood_integral(spec: ModulusSpec, eps: float, u0: float = 1.0) -> float:
-    """Quadrature of I(eps) = integral_eps^u0 du / rho(0, u).
+def osgood_integral(spec: ModulusSpec, eps: float) -> float:
+    """Quadrature of I(eps) = integral_eps^1 du / rho(0, u).
 
     Evaluated after the substitution u = e^s, which flattens the integrand
     for every built-in profile, on 256 trapezoid nodes per decade.
     """
-    if not 0 < eps < u0:
-        raise ValueError("need 0 < eps < u0")
-    decades = math.log10(u0 / eps)
+    if not 0 < eps < 1.0:
+        raise ValueError("need 0 < eps < 1")
+    decades = math.log10(1.0 / eps)
     n = max(33, int(256 * decades) + 1)
-    s = np.linspace(math.log(eps), math.log(u0), n)
+    s = np.linspace(math.log(eps), 0.0, n)
     us = np.exp(s)
     rho = eval_modulus(spec, 0.0, us)
     if np.any(rho <= 0):
@@ -484,7 +487,7 @@ def horizon_partition(spec: ModulusSpec, M: float, budgets, T: float,
     Segment p receives budget mu_0^p from the ``budgets`` procedure, sets
     M_p = 2 mu_0^p, and places T_p so that the rho(., M_p) mass over
     [T_p, T_{p-1}] equals mu_0^p / M (found by bisection down to an interval
-    of 1e-10).  When the remaining mass down to 0 is at most the target, the
+    of ``_BISECT_TOL``).  When the remaining mass down to 0 is at most the target, the
     segment closes at T_p = 0 and the partition terminates.  After ``p_max``
     segments without closing, raises ``NonTerminationError`` carrying the
     breakpoints reached.
@@ -505,7 +508,7 @@ def horizon_partition(spec: ModulusSpec, M: float, budgets, T: float,
             breakpoints.append(0.0)
             return np.array(breakpoints)
         lo, hi = 0.0, top  # mass(lo) >= target, mass(hi) = 0
-        while hi - lo > 1e-10:
+        while hi - lo > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
             if _time_integral(spec, m_p, mid, top) >= target:
                 lo = mid

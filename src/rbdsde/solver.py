@@ -423,8 +423,9 @@ class ComparisonReport:
     violation_fraction: float
     both_converged: bool
 
-    def within(self, k_stderr: float = 3.0) -> bool:
-        return bool(np.all(self.node_means <= k_stderr * self.node_stderr))
+    def within(self) -> bool:
+        """Every node mean of the positive part is within 3 standard errors of 0."""
+        return bool(np.all(self.node_means <= 3.0 * self.node_stderr))
 
 
 def comparison_experiment(problem1: ProblemSpec, problem2: ProblemSpec,

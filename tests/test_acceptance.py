@@ -129,7 +129,7 @@ def test_criterion_5_comparison_principle():
     for kind, amount in (("terminal", 1.0), ("obstacle", 0.5), ("generator", 0.5)):
         rep = comparison_experiment(problem, shifted_problem(problem, kind, amount),
                                     fwd, noise, DESK_BASIS, SolverConfig())
-        ok = ok and rep.within(3.0)
+        ok = ok and rep.within()
         details.append(f"{kind}: max_mean_pos={rep.max_mean_positive_part:.2e}")
     report("criterion-5 comparison-principle", ok, "; ".join(details))
 
@@ -192,8 +192,7 @@ def test_criterion_8_picard_behavior():
 def test_criterion_9_envelope_properties():
     problem = builtin_problem("paper-1-4")
     rep = envelope_property_check(problem.generators, [4, 8, 16, 32],
-                                  num_points=10_000, u_range=20.0, u_step=1e-3,
-                                  growth_phi=2.0, growth_c=2.0)
+                                  num_points=10_000, u_range=20.0, u_step=1e-3)
 
     rng = np.random.Generator(np.random.Philox(key=[SEED, 0]))
     ys = rng.uniform(-3.0, 3.0, 200)
@@ -273,7 +272,7 @@ def test_criterion_11_field_consistency():
     noise2 = sample_noise(grid2, 4000, seed=31)
     rep = monotone_field_sequence(free, [4, 8, 16], [-0.5, 0.0, 0.5],
                                   [0.0, grid2.nodes[12]], noise2, basis,
-                                  SolverConfig(), u_range=20.0, u_step=1e-3)
+                                  SolverConfig(), u_range=20.0)
     bracket_ok = (rep.lower_monotone_violations == 0
                   and rep.upper_monotone_violations == 0
                   and rep.base_within_bracket)

@@ -73,6 +73,15 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "config error: section 'basis': unknown basis kind 'nope'" in err
 
+    def test_basis_section_checked_before_flags(self, tmp_path, monkeypatch, capsys):
+        # the config's own basis must be valid; a flag does not rescue it
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"basis": {"bins": 0}}))
+        code = run(["solve", "--config", str(f), "--basis", "polynomial"], monkeypatch, tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: section 'basis': bins must be >= 1" in err
+
     def test_partial_section_keeps_defaults(self):
         cfg = ExperimentConfig.parse(json.dumps({"basis": {"kind": "polynomial"},
                                                  "grid": {"N": 8}}))

@@ -46,13 +46,13 @@ class TestCatalog:
 
     def test_problem_invariants_on_catalog(self):
         for name in catalog_names():
-            rep = validate_problem(builtin_problem(name), n_samples=1000)
+            rep = validate_problem(builtin_problem(name))
             assert rep.all_pass, f"{name}: {rep}"
 
     def test_h4_witness_on_catalog(self):
         for name in catalog_names():
             p = builtin_problem(name)
-            rep = check_h4_witness(p.generators, p.horizon, n_samples=10_000)
+            rep = check_h4_witness(p.generators, p.horizon)
             assert rep.all_pass, f"{name}: {rep}"
 
     def test_paper_entry_z_free_variant(self):
@@ -187,8 +187,7 @@ class TestEnvelope:
     def test_property_report_all_pass(self):
         p = builtin_problem("paper-1-4")
         rep = envelope_property_check(p.generators, [4, 8], num_points=2000,
-                                      u_range=20.0, u_step=1e-3,
-                                      growth_phi=2.0, growth_c=2.0)
+                                      u_range=20.0, u_step=1e-3)
         assert rep.all_pass
         assert rep.boundary_flagged == 0
 
@@ -214,8 +213,7 @@ class TestEnvelope:
             f_y_profile=lambda y: -0.5 * y ** 2,
             f_rest=lambda t, x, z: np.zeros(len(z)))
         rep = envelope_property_check(base, [4, 8], num_points=500,
-                                      u_range=6.0, u_step=1e-2,
-                                      growth_phi=2.0, growth_c=2.0, y_scale=1.0)
+                                      u_range=6.0, u_step=1e-2, y_scale=1.0)
         assert rep.boundary_flagged > 0
         assert rep.all_pass
 

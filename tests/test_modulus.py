@@ -145,14 +145,14 @@ class TestConditionA:
     def test_lipschitz_integral_closed_form(self):
         spec = lipschitz_modulus(2.0)
         for eps in (1e-4, 1e-8):
-            assert osgood_integral(spec, eps, 1.0) == pytest.approx(
+            assert osgood_integral(spec, eps) == pytest.approx(
                 math.log(1.0 / eps) / 2.0, rel=1e-6)
 
     def test_sqrt_integral_bounded(self):
         us = np.geomspace(1e-16, 16.0, 257)
         spec = tabulated_modulus(list(zip(us, np.sqrt(us))))
-        # closed form 2(sqrt(u0) - sqrt(eps)) stays below 2
-        assert osgood_integral(spec, 1e-10, 1.0) == pytest.approx(2.0, rel=5e-3)
+        # closed form 2(1 - sqrt(eps)) stays below 2
+        assert osgood_integral(spec, 1e-10) == pytest.approx(2.0, rel=5e-3)
 
     def test_vanishing_modulus_inconclusive(self):
         spec = tabulated_modulus([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)])

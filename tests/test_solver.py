@@ -315,7 +315,7 @@ class TestComparison:
         p, fwd, noise = comparison_setup
         rep = comparison_experiment(p, shifted_problem(p, kind, amount),
                                     fwd, noise, BASIS, SolverConfig())
-        assert rep.within(3.0)
+        assert rep.within()
         assert rep.both_converged
 
     def test_identical_problems(self, comparison_setup):
