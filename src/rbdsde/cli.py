@@ -191,15 +191,11 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     _write_provenance(cfg, out)
 
-    lines = ["iteration,node,t,mean_Y,mean_Z_norm,mean_K,gap,skorokhod_partial"]
-    for it, summary in enumerate(sol.diagnostics["iteration_summaries"], start=1):
-        for i in range(grid.num_steps + 1):
-            lines.append(",".join([
-                str(it), str(i), _fmt(grid.nodes[i]),
-                _fmt(summary["mean_y"][i]), _fmt(summary["mean_z_norm"][i]),
-                _fmt(summary["mean_k"][i]), _fmt(summary["gap_profile"][i]),
-                _fmt(summary["skorokhod_partial"][i]),
-            ]))
+    per_iteration = sol.diagnostics["per_iteration"]
+    lines = [",".join(["iteration", "node", "t", *per_iteration])]
+    for it, rows in enumerate(zip(*per_iteration.values()), start=1):
+        for i, t in enumerate(grid.nodes):
+            lines.append(",".join([str(it), str(i), _fmt(t)] + [_fmt(row[i]) for row in rows]))
     (out / "run.csv").write_text("\n".join(lines) + "\n")
 
     diag = sol.diagnostics

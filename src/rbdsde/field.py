@@ -104,10 +104,8 @@ class DossTransform:
     inverts it in y by monotone interpolation.
     """
 
-    t_nodes: np.ndarray
-    x_points: np.ndarray
     y_nodes: np.ndarray
-    eta: np.ndarray  # (N+1, G, ny)
+    eta: np.ndarray  # (N+1, G, ny): time node, x point, y node
 
     def eta_at(self, t_index: int, x_index: int, y) -> np.ndarray:
         return np.interp(np.asarray(y, dtype=float), self.y_nodes,
@@ -171,7 +169,7 @@ def solve_doss_eta(gen: GeneratorSpec, grid: TimeGrid, x_points, y_nodes,
         if np.any(np.diff(eta[i], axis=1) <= 0):
             raise StepSizeError(
                 f"eta lost monotonicity in y at node {i}; refine the time step")
-    return DossTransform(t_nodes=grid.nodes, x_points=xp, y_nodes=ys, eta=eta)
+    return DossTransform(y_nodes=ys, eta=eta)
 
 
 @dataclass(frozen=True, eq=False)

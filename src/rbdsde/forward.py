@@ -19,9 +19,8 @@ __all__ = ["ForwardEnsemble", "simulate_forward", "FlowReport", "flow_continuity
 
 @dataclass(frozen=True, eq=False)
 class ForwardEnsemble:
-    """Simulated forward paths and the grid node they start from."""
+    """Simulated forward paths and the index of the grid node they start from."""
 
-    start_time: float
     start_index: int
     paths: ProcessSample
 
@@ -48,7 +47,7 @@ def simulate_forward(problem: ProblemSpec, t: float, x, noise: NoiseEnsemble) ->
         vals[:, i + 1] = (xi + problem.drift(xi) * dt[i]
                           + np.einsum("mij,mj->mi", problem.diffusion(xi), dw[:, i]))
     sample = ProcessSample(grid=grid, values=vals, kind="Y")
-    return ForwardEnsemble(start_time=float(grid.nodes[i0]), start_index=i0, paths=sample)
+    return ForwardEnsemble(start_index=i0, paths=sample)
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def flow_continuity_test(problem: ProblemSpec, start_a, start_b, p: int,
         other = simulate_forward(problem, t_k, x_k, noise)
         diff = base.paths.values - other.paths.values
         sup = np.max(np.sqrt(np.sum(diff ** 2, axis=2)), axis=1)
-        dt_k = abs(t_k - base.start_time)
+        dt_k = abs(t_k - nodes[base.start_index])
         dx_k = float(np.sqrt(np.sum((x_k - x_a) ** 2)))
         scales.append(s)
         dts.append(dt_k)

@@ -99,7 +99,6 @@ class ProblemSpec:
     spot: np.ndarray
     lipschitz_const: float = 1.0
     growth_const: float = 1.0
-    growth_power: int = 1
 
     def __post_init__(self):
         spot = np.atleast_1d(np.asarray(self.spot, dtype=float))
@@ -166,7 +165,7 @@ def _build_paper_1_4(C=2.0, alpha=0.5, horizon=1.0, obstacle_gap=1.0,
         name="paper-1-4", dim=1, horizon=T, drift=drift, diffusion=diffusion,
         generators=gen, terminal=lambda x: x[:, 0].copy(), obstacle=obstacle,
         spot=np.zeros(1), lipschitz_const=1.0,
-        growth_const=max(1.0, obstacle_gap), growth_power=1,
+        growth_const=max(1.0, obstacle_gap),
     )
 
 
@@ -191,7 +190,7 @@ def _build_lipschitz_linear(a=0.25, b_coef=0.2, horizon=1.0, obstacle_gap=4.0,
         name="lipschitz-linear", dim=1, horizon=T, drift=drift, diffusion=diffusion,
         generators=gen, terminal=lambda x: x[:, 0].copy(), obstacle=obstacle,
         spot=np.zeros(1), lipschitz_const=1.0,
-        growth_const=max(1.0, obstacle_gap), growth_power=1,
+        growth_const=max(1.0, obstacle_gap),
     )
 
 
@@ -221,7 +220,7 @@ def _build_american_put_like(strike=100.0, rate=0.06, vol=0.2, horizon=0.5, spot
         name="american-put-like", dim=1, horizon=T, drift=drift, diffusion=diffusion,
         generators=gen, terminal=payoff, obstacle=lambda t, x: payoff(x),
         spot=np.array([float(spot)]), lipschitz_const=max(1.0, rate, vol),
-        growth_const=float(strike), growth_power=1,
+        growth_const=float(strike),
     )
 
 
@@ -255,7 +254,7 @@ def _build_log_modulus(delta=math.exp(-2), g_scale=0.3, horizon=1.0,
         name="log-modulus", dim=1, horizon=T, drift=drift, diffusion=diffusion,
         generators=gen, terminal=lambda x: x[:, 0].copy(), obstacle=obstacle,
         spot=np.zeros(1), lipschitz_const=1.0,
-        growth_const=max(1.0, obstacle_gap), growth_power=1,
+        growth_const=max(1.0, obstacle_gap),
     )
 
 
@@ -395,7 +394,8 @@ def validate_problem(problem: ProblemSpec) -> ProblemReport:
     else:
         ts = rng.uniform(0.0, problem.horizon, size=8)
         growth_viol = 0.0
-        bound = problem.growth_const * (1.0 + np.sum(np.abs(xs) ** problem.growth_power, axis=1))
+        # linear growth: |h(t, x)| <= growth_const (1 + |x|_1)
+        bound = problem.growth_const * (1.0 + np.sum(np.abs(xs), axis=1))
         for t in ts:
             growth_viol = max(growth_viol, float(np.max(np.abs(problem.obstacle(float(t), xs)) - bound)))
         worst = max(worst, growth_viol)
@@ -671,63 +671,46 @@ _CALLS = {"exp": np.exp, "abs": np.abs, "sqrt": np.sqrt}
 _REDUCERS = {"max": np.maximum, "min": np.minimum}
 
 
-def _check_expr(node, names):
-    if isinstance(node, ast.Expression):
-        return _check_expr(node.body, names)
+def _compile(node, names, used):
+    """Check ``node`` against the expression grammar and build its evaluator,
+    a function of the variable environment; names read are added to ``used``."""
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ValueError(f"constant {node.value!r} not allowed")
-        return
+        value = float(node.value)
+        return lambda env: value
     if isinstance(node, ast.Name):
         if node.id not in names:
             raise ValueError(f"unknown name {node.id!r}")
-        return
+        used.add(node.id)
+        return lambda env: env[node.id]
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        _check_expr(node.left, names)
-        _check_expr(node.right, names)
-        return
+        op = _BINOPS[type(node.op)]
+        left = _compile(node.left, names, used)
+        right = _compile(node.right, names, used)
+        return lambda env: op(left(env), right(env))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        _check_expr(node.operand, names)
-        return
+        operand = _compile(node.operand, names, used)
+        return operand if isinstance(node.op, ast.UAdd) else lambda env: -operand(env)
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         fname = node.func.id
         if fname in _CALLS and len(node.args) == 1:
-            _check_expr(node.args[0], names)
-            return
+            call, arg = _CALLS[fname], _compile(node.args[0], names, used)
+            return lambda env: call(arg(env))
         if fname in _REDUCERS and len(node.args) >= 2:
-            for a in node.args:
-                _check_expr(a, names)
-            return
+            reducer = _REDUCERS[fname]
+            args = [_compile(a, names, used) for a in node.args]
+
+            def reduce(env):
+                vals = [a(env) for a in args]
+                out = vals[0]
+                for v in vals[1:]:
+                    out = reducer(out, v)
+                return out
+
+            return reduce
         raise ValueError(f"call {fname!r} with {len(node.args)} args not allowed")
     raise ValueError(f"expression node {type(node).__name__} not allowed")
-
-
-def _eval_expr(node, env):
-    if isinstance(node, ast.Expression):
-        return _eval_expr(node.body, env)
-    if isinstance(node, ast.Constant):
-        return float(node.value)
-    if isinstance(node, ast.Name):
-        return env[node.id]
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_eval_expr(node.left, env), _eval_expr(node.right, env))
-    if isinstance(node, ast.UnaryOp):
-        val = _eval_expr(node.operand, env)
-        return -val if isinstance(node.op, ast.USub) else val
-    if isinstance(node, ast.Call):
-        fname = node.func.id
-        args = [_eval_expr(a, env) for a in node.args]
-        if fname in _CALLS:
-            return _CALLS[fname](args[0])
-        out = args[0]
-        for a in args[1:]:
-            out = _REDUCERS[fname](out, a)
-        return out
-    raise AssertionError("unreachable after _check_expr")
-
-
-def _expr_uses(tree, name: str) -> bool:
-    return any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(tree))
 
 
 def compile_expression(src: str, params: dict | None = None):
@@ -738,19 +721,19 @@ def compile_expression(src: str, params: dict | None = None):
     per path.
     """
     params = dict(params or {})
-    tree = ast.parse(src, mode="eval")
-    names = {"t", "x", "y", "z"} | set(params)
-    _check_expr(tree, names)
+    used = set()
+    evaluate = _compile(ast.parse(src, mode="eval").body, {"t", "x", "y", "z"} | set(params),
+                        used)
 
     def fn(t, x, y, z):
         if x.shape[1] != 1:
             raise ValueError("expression generators support dim=1 only")
         env = {"t": float(t), "x": x[:, 0], "y": np.asarray(y, dtype=float),
                "z": z[:, 0], **params}
-        val = np.asarray(_eval_expr(tree, env), dtype=float)
+        val = np.asarray(evaluate(env), dtype=float)
         return np.broadcast_to(val, np.shape(y)).astype(float)
 
-    fn.uses_z = _expr_uses(tree, "z")
+    fn.uses_z = "z" in used
     return fn
 
 

@@ -10,7 +10,6 @@ horizon partition that control the Picard iteration.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -27,7 +26,6 @@ __all__ = [
     "log_modulus",
     "loglog_modulus",
     "tabulated_modulus",
-    "tabulated_from_csv",
     "eval_modulus",
     "AxiomReport",
     "verify_modulus_axioms",
@@ -164,22 +162,6 @@ def tabulated_modulus(points) -> ModulusSpec:
     if not pts or pts[0][0] > 0.0:
         pts.insert(0, (0.0, 0.0))
     return ModulusSpec(variant="tabulated", table=tuple(pts))
-
-
-def tabulated_from_csv(path) -> ModulusSpec:
-    """Load a two-column (u, rho) CSV; a leading header row is skipped."""
-    pts = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                pts.append((float(row[0]), float(row[1])))
-            except ValueError:
-                if pts:
-                    raise
-                continue  # header
-    return tabulated_modulus(pts)
 
 
 def _kappa_log(delta: float) -> float:
@@ -412,9 +394,6 @@ class MajorantSequence:
     rho integral to phi_n.  Rows are non-increasing in n and vanish at T.
     """
 
-    grid: TimeGrid
-    m_const: float
-    m1: float
     values: np.ndarray
 
     @property
@@ -447,7 +426,7 @@ def majorant_sequence(spec: ModulusSpec, M: float, M1: float, grid: TimeGrid,
             break
         integrand = eval_modulus(spec, 0.0, np.maximum(rows[-1], 0.0))
         rows.append(M * _backward_trapezoid(integrand, dt))
-    return MajorantSequence(grid=grid, m_const=float(M), m1=float(M1), values=np.array(rows))
+    return MajorantSequence(np.array(rows))
 
 
 @dataclass(frozen=True)

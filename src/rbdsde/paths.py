@@ -11,7 +11,6 @@ order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,6 @@ __all__ = [
     "sample_noise",
     "coarsen_noise",
     "empirical_norm",
-    "save_paths_csv",
-    "load_paths_csv",
 ]
 
 # Substream ids at or above this value are reserved for realizations of B;
@@ -39,33 +36,32 @@ _K_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Discrete time mesh on [0, T].
+    """Discrete time mesh on [0, T], T being the last node.
 
-    Nodes must start at 0, end at the horizon and be strictly increasing.
-    ``build_grid`` produces the uniform mesh; custom node vectors are allowed
-    as long as they respect the endpoints.
+    Nodes must start at 0 and be strictly increasing.  ``build_grid``
+    produces the uniform mesh; custom node vectors are allowed.
     """
 
-    horizon: float
-    num_steps: int
     nodes: np.ndarray
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
-        if nodes.shape != (self.num_steps + 1,):
-            raise ValueError("nodes must have length num_steps + 1")
+        if nodes.ndim != 1 or len(nodes) < 2:
+            raise ValueError("need a 1-D vector of at least two nodes")
         if nodes[0] != 0.0:
             raise ValueError("first node must be 0")
-        if abs(nodes[-1] - self.horizon) > 1e-12 * max(1.0, self.horizon):
-            raise ValueError("last node must equal the horizon")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         nodes.setflags(write=False)
+
+    @property
+    def horizon(self) -> float:
+        return float(self.nodes[-1])
+
+    @property
+    def num_steps(self) -> int:
+        return len(self.nodes) - 1
 
     @property
     def dt(self) -> np.ndarray:
@@ -94,7 +90,7 @@ def build_grid(T: float, N: int) -> TimeGrid:
         raise ValueError(f"horizon must be positive, got {T}")
     if N < 1:
         raise ValueError(f"need at least one step, got {N}")
-    return TimeGrid(horizon=float(T), num_steps=int(N), nodes=np.linspace(0.0, float(T), int(N) + 1))
+    return TimeGrid(np.linspace(0.0, float(T), int(N) + 1))
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -114,20 +110,21 @@ class NoiseEnsemble:
     """
 
     grid: TimeGrid
-    num_paths: int
     w_increments: np.ndarray
     b_increments: np.ndarray
-    seed: int
-    b_stream: int = 0
 
     def __post_init__(self):
         N = self.grid.num_steps
-        if self.w_increments.shape[:2] != (self.num_paths, N):
+        if self.w_increments.shape[1:2] != (N,):
             raise ValueError("w_increments must have shape (num_paths, N, d)")
         if self.b_increments.shape[0] != N:
             raise ValueError("b_increments must have shape (N, l)")
         self.w_increments.setflags(write=False)
         self.b_increments.setflags(write=False)
+
+    @property
+    def num_paths(self) -> int:
+        return self.w_increments.shape[0]
 
     @property
     def d(self) -> int:
@@ -169,8 +166,7 @@ def sample_noise(grid: TimeGrid, num_paths: int, d: int = 1, ell: int = 1,
     for k in range(num_paths):
         w[k] = _stream(seed, k).standard_normal((N, d)) * scale
     b = _stream(seed, _B_STREAM_BASE + b_stream).standard_normal((N, ell)) * scale
-    return NoiseEnsemble(grid=grid, num_paths=num_paths, w_increments=w,
-                         b_increments=b, seed=seed, b_stream=b_stream)
+    return NoiseEnsemble(grid, w, b)
 
 
 def coarsen_noise(ens: NoiseEnsemble, factor: int) -> NoiseEnsemble:
@@ -182,12 +178,10 @@ def coarsen_noise(ens: NoiseEnsemble, factor: int) -> NoiseEnsemble:
     N = ens.grid.num_steps
     if factor < 1 or N % factor != 0:
         raise ValueError(f"factor {factor} must divide the step count {N}")
-    nodes = ens.grid.nodes[::factor]
-    grid = TimeGrid(horizon=ens.grid.horizon, num_steps=N // factor, nodes=nodes.copy())
+    grid = TimeGrid(ens.grid.nodes[::factor].copy())
     w = ens.w_increments.reshape(ens.num_paths, N // factor, factor, ens.d).sum(axis=2)
     b = ens.b_increments.reshape(N // factor, factor, ens.ell).sum(axis=1)
-    return NoiseEnsemble(grid=grid, num_paths=ens.num_paths, w_increments=w,
-                         b_increments=b, seed=ens.seed, b_stream=ens.b_stream)
+    return NoiseEnsemble(grid, w, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,43 +247,3 @@ def empirical_norm(p: ProcessSample, kind: str, start: int = 0, stop: int | None
         return float(np.mean(sq[:, -1]))
     raise ValueError(f"unknown norm kind {kind!r}")
 
-
-def save_paths_csv(path, values: np.ndarray) -> None:
-    """Dump a 3-D (path, step, component) array to CSV for cross-checks.
-
-    Header is ``path,step,component,value``; floats are written with full
-    round-trip precision so dumps are byte-stable.
-    """
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 3:
-        raise ValueError("expected an array of shape (paths, steps, components)")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "step", "component", "value"])
-        for k in range(vals.shape[0]):
-            for i in range(vals.shape[1]):
-                for j in range(vals.shape[2]):
-                    writer.writerow([k, i, j, repr(float(vals[k, i, j]))])
-
-
-def load_paths_csv(path) -> np.ndarray:
-    """Read back a CSV produced by :func:`save_paths_csv`."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["path", "step", "component", "value"]:
-            raise ValueError(f"unexpected header {header}")
-        for rec in reader:
-            rows.append((int(rec[0]), int(rec[1]), int(rec[2]), float(rec[3])))
-    if not rows:
-        raise ValueError("empty paths CSV")
-    npaths = max(r[0] for r in rows) + 1
-    nsteps = max(r[1] for r in rows) + 1
-    ncomp = max(r[2] for r in rows) + 1
-    out = np.full((npaths, nsteps, ncomp), np.nan)
-    for k, i, j, v in rows:
-        out[k, i, j] = v
-    if np.any(np.isnan(out)):
-        raise ValueError("paths CSV has missing entries")
-    return out

@@ -372,16 +372,17 @@ def picard_solve(problem: ProblemSpec, forward: ForwardEnsemble, noise: NoiseEns
     drops below ``cfg.picard_tol``; otherwise runs ``picard_max_iter`` sweeps
     and returns the last iterate flagged non-converged.  One regression plan
     serves every sweep, so each node's design is built once, in the first.
-    Returns the solution triple, the number of sweeps, and the gap history.
+    Returns the solution triple, the number of sweeps, and the gap history
+    (the sup over nodes of each sweep's gap).  ``diagnostics["per_iteration"]``
+    maps each of mean_Y, mean_Z_norm, mean_K, gap (the node-wise mean-square
+    gap) and skorokhod_partial to an (iterations, N+1) array.
     """
     m = noise.num_paths
     n_nodes = noise.grid.num_steps + 1
     obstacle = obstacle_values(problem, forward)
     plan = RegressionPlan(basis, forward.paths.values, cfg.ridge)
     prev = np.zeros((m, n_nodes))
-    gap_history: list[float] = []
-    gap_profiles: list[np.ndarray] = []
-    summaries: list[dict] = []
+    rows: list[dict] = []
     converged = False
     sol = None
     iterations = 0
@@ -390,27 +391,24 @@ def picard_solve(problem: ProblemSpec, forward: ForwardEnsemble, noise: NoiseEns
                                   start_index=start_index)
         ycur = sol.y.values[:, :, 0]
         profile = np.mean((ycur - prev) ** 2, axis=0)
-        gap = float(np.max(profile))
-        gap_history.append(gap)
-        gap_profiles.append(profile)
-        summaries.append({
-            "mean_y": np.mean(ycur, axis=0),
-            "mean_z_norm": np.mean(np.sqrt(np.sum(sol.z.values ** 2, axis=2)), axis=0),
-            "mean_k": np.mean(sol.k.values[:, :, 0], axis=0),
-            "gap_profile": profile,
+        rows.append({
+            "mean_Y": np.mean(ycur, axis=0),
+            "mean_Z_norm": np.mean(np.sqrt(np.sum(sol.z.values ** 2, axis=2)), axis=0),
+            "mean_K": np.mean(sol.k.values[:, :, 0], axis=0),
+            "gap": profile,
             "skorokhod_partial": _flatness_partial(sol, obstacle),
         })
-        if gap < cfg.picard_tol:
+        if float(np.max(profile)) < cfg.picard_tol:
             converged = True
             break
         prev = ycur
+    per_iteration = {key: np.array([row[key] for row in rows]) for key in rows[0]}
     sol.diagnostics.update({
         "converged": converged,
-        "gap_profiles": np.array(gap_profiles),
-        "iteration_summaries": summaries,
-        "skorokhod_residual": float(summaries[-1]["skorokhod_partial"][-1]),
+        "per_iteration": per_iteration,
+        "skorokhod_residual": float(per_iteration["skorokhod_partial"][-1, -1]),
     })
-    return sol, iterations, gap_history
+    return sol, iterations, [float(g) for g in np.max(per_iteration["gap"], axis=1)]
 
 
 @dataclass(frozen=True)
@@ -524,15 +522,16 @@ class MajorantGapReport:
     all_within: bool
 
 
-def picard_gap_vs_majorant(gap_profiles: np.ndarray, majorant: MajorantSequence,
+def picard_gap_vs_majorant(gaps: np.ndarray, majorant: MajorantSequence,
                            *, mc_tol: float = 1e-3) -> MajorantGapReport:
     """Check E|Y^n - Y^{n-1}|^2 <= phi_{n-2} + tolerance node by node.
 
-    Informative: the discretization and regression error sit outside the
+    ``gaps`` is the (iterations, N+1) gap array of ``picard_solve``'s
+    ``diagnostics["per_iteration"]["gap"]``.  Informative: the discretization and regression error sit outside the
     continuous-time bound, so exceedances within ``mc_tol`` are marked as
     tolerance-binding rather than failures.
     """
-    profiles = np.asarray(gap_profiles)
+    profiles = np.asarray(gaps)
     n_nodes = majorant.values.shape[1]
     if profiles.shape[1] != n_nodes:
         raise ValueError("gap profiles and majorant live on different grids")

@@ -5,10 +5,12 @@ in ``src/``, ``tests/`` and ``bench/``: a defaulted parameter that no call
 passes, by keyword or by position, is a setting with a single value in use,
 and belongs in the code as a constant.  A call that only hands on another
 such parameter unchanged, or passes a literal equal to the default, does not
-count as setting it.
+count as setting it.  Every name a module exports in ``__all__`` must also
+resolve, so a removal leaves no stale export behind.
 """
 
 import ast
+import importlib
 from pathlib import Path
 from typing import NamedTuple
 
@@ -175,3 +177,12 @@ def test_every_defaulted_parameter_has_a_caller():
     missing = [name for name in missing if name not in KEPT_FOR_BENCH]
     assert not missing, ("defaulted parameters that no call in src/, tests/ or bench/ "
                          f"sets ({len(missing)}): " + ", ".join(missing))
+
+
+def test_every_exported_name_resolves():
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "rbdsde" if path.stem == "__init__" else f"rbdsde.{path.stem}"
+        module = importlib.import_module(name)
+        assert hasattr(module, "__all__"), f"{name} has no __all__"
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert not missing, f"{name}.__all__ names {missing}, which {name} does not define"

@@ -9,9 +9,10 @@ import pytest
 from rbdsde.cli import (ExperimentConfig, GridConfig, MonteCarloConfig, ProblemConfig,
                         _build_parser, main)
 from rbdsde.field import evaluate_u_field
+from rbdsde.forward import simulate_forward
 from rbdsde.generators import builtin_problem, lipschitz_envelope
 from rbdsde.paths import build_grid, sample_noise
-from rbdsde.solver import RegressionBasis, SolverConfig
+from rbdsde.solver import RegressionBasis, SolverConfig, picard_solve
 
 
 def run(args, monkeypatch, tmp_path, out="out"):
@@ -106,6 +107,23 @@ class TestSolveCommand:
         assert (out / "provenance.json").exists()
         header = (out / "run.csv").read_text().splitlines()[0]
         assert header == "iteration,node,t,mean_Y,mean_Z_norm,mean_K,gap,skorokhod_partial"
+
+    def test_rows_are_the_per_iteration_record(self, tmp_path, monkeypatch):
+        assert run(["solve", "--problem", "lipschitz-linear", "--N", "8", "--paths", "600",
+                    "--seed", "4"], monkeypatch, tmp_path) == 0
+        p = builtin_problem("lipschitz-linear")
+        noise = sample_noise(build_grid(1.0, 8), 600, seed=4)
+        fwd = simulate_forward(p, 0.0, p.spot, noise)
+        sol, iterations, _ = picard_solve(p, fwd, noise, ExperimentConfig().basis,
+                                          SolverConfig())
+        table = sol.diagnostics["per_iteration"]
+        lines = (tmp_path / "out" / "run.csv").read_text().splitlines()
+        assert lines[0].split(",")[3:] == list(table)
+        assert len(lines) == 1 + iterations * 9
+        for line in lines[1:]:
+            it, node, t, *cells = line.split(",")
+            assert t == repr(float(noise.grid.nodes[int(node)]))
+            assert cells == [repr(float(col[int(it) - 1, int(node)])) for col in table.values()]
 
     def test_unknown_problem(self, tmp_path, monkeypatch):
         assert run(["solve", "--problem", "nope"], monkeypatch, tmp_path) == 2

@@ -11,8 +11,7 @@ from rbdsde.modulus import (NonTerminationError, builtin_condition_a_fixtures,
                             eval_modulus, horizon_partition, lipschitz_modulus,
                             log_modulus, loglog_modulus, majorant_sequence,
                             moment_bound_constant, osgood_integral,
-                            tabulated_from_csv, tabulated_modulus,
-                            verify_modulus_axioms)
+                            tabulated_modulus, verify_modulus_axioms)
 from rbdsde.paths import build_grid
 
 LADDER = [10.0 ** (-k) for k in range(2, 13)]
@@ -106,12 +105,6 @@ class TestEval:
         spec = tabulated_modulus([(0.0, 0.0), (1.0, 1.0), (2.0, 1.5)])
         assert eval_modulus(spec, 0.0, 0.5) == pytest.approx(0.5)
         assert eval_modulus(spec, 0.0, 3.0) == pytest.approx(2.0)  # last slope 0.5
-
-    def test_tabulated_from_csv(self, tmp_path):
-        f = tmp_path / "rho.csv"
-        f.write_text("u,rho\n0.0,0.0\n1.0,2.0\n")
-        spec = tabulated_from_csv(f)
-        assert eval_modulus(spec, 0.0, 0.5) == pytest.approx(1.0)
 
 
 class TestAxioms:

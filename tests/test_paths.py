@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rbdsde.paths import (ProcessSample, build_grid, coarsen_noise, empirical_norm,
-                          load_paths_csv, sample_noise, save_paths_csv)
+from rbdsde.paths import (NoiseEnsemble, ProcessSample, TimeGrid, build_grid, coarsen_noise,
+                          empirical_norm, sample_noise)
 
 # E sup_{[0,1]} |W|^2 from the fine-grid ensemble (N=4096, M=2e4, seed=555)
 FINE_SUP_SQ = 1.838363189345244
@@ -37,11 +37,21 @@ class TestGrid:
             g.index_of(0.3)
 
     def test_custom_mesh_validation(self):
-        from rbdsde.paths import TimeGrid
         with pytest.raises(ValueError):
-            TimeGrid(horizon=1.0, num_steps=2, nodes=np.array([0.0, 0.7, 0.5]))
+            TimeGrid(np.array([0.0, 0.7, 0.5]))
         with pytest.raises(ValueError):
-            TimeGrid(horizon=1.0, num_steps=2, nodes=np.array([0.1, 0.5, 1.0]))
+            TimeGrid(np.array([0.1, 0.5, 1.0]))
+
+    def test_custom_mesh_derives_horizon_and_steps(self):
+        g = TimeGrid(np.array([0.0, 0.1, 0.4, 1.5]))
+        assert g.horizon == 1.5 and g.num_steps == 3
+        assert np.allclose(g.dt, [0.1, 0.3, 1.1])
+
+    def test_built_grid_derives_its_inputs(self):
+        for T in (0.3, 0.5, 1.0, 7.0):
+            for N in (1, 7, 50, 100):
+                g = TimeGrid(build_grid(T, N).nodes)
+                assert (g.horizon, g.num_steps) == (T, N)
 
 
 class TestNoise:
@@ -58,6 +68,17 @@ class TestNoise:
         b = sample_noise(g, 40, seed=5)
         assert np.array_equal(a.w_increments, b.w_increments[:10])
         assert np.array_equal(a.b_increments, b.b_increments)
+
+    def test_ensemble_from_arrays_derives_path_count(self):
+        g = build_grid(0.5, 6)
+        noise = sample_noise(g, 9, d=2, ell=3, seed=4)
+        assert (noise.num_paths, noise.d, noise.ell) == (9, 2, 3)
+        rebuilt = NoiseEnsemble(g, noise.w_increments, noise.b_increments)
+        assert (rebuilt.num_paths, rebuilt.d, rebuilt.ell) == (9, 2, 3)
+        coarse = coarsen_noise(noise, 3)
+        assert coarse.num_paths == 9 and coarse.grid.horizon == 0.5
+        with pytest.raises(ValueError):
+            NoiseEnsemble(g, np.zeros((9, 5, 2)), noise.b_increments)
 
     def test_b_streams_differ(self):
         g = build_grid(1.0, 20)
@@ -159,18 +180,3 @@ class TestNorms:
         with pytest.raises(ValueError):
             empirical_norm(p, "L7")
 
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        arr = np.random.default_rng(3).normal(size=(4, 6, 2))
-        f = tmp_path / "inc.csv"
-        save_paths_csv(f, arr)
-        assert f.read_text().splitlines()[0] == "path,step,component,value"
-        back = load_paths_csv(f)
-        assert np.array_equal(back, arr)
-
-    def test_bad_header(self, tmp_path):
-        f = tmp_path / "bad.csv"
-        f.write_text("a,b,c,d\n0,0,0,1.0\n")
-        with pytest.raises(ValueError):
-            load_paths_csv(f)

@@ -194,6 +194,24 @@ class TestBackwardScheme:
         gap = float(np.max(np.mean((again.y.values - sol.y.values) ** 2, axis=0)))
         assert gap < cfg.picard_tol
 
+    def test_per_iteration_record(self, solved_put):
+        p, fwd, sol = solved_put
+        table = sol.diagnostics["per_iteration"]
+        assert list(table) == ["mean_Y", "mean_Z_norm", "mean_K", "gap", "skorokhod_partial"]
+        iterations = table["gap"].shape[0]
+        for col in table.values():
+            assert col.shape == (iterations, fwd.paths.grid.num_steps + 1)
+        assert np.array_equal(table["mean_Y"][-1], np.mean(sol.y.values[:, :, 0], axis=0))
+        assert sol.diagnostics["skorokhod_residual"] == table["skorokhod_partial"][-1, -1]
+
+    def test_gap_history_is_the_row_maxima(self, small_noise):
+        p = brownian_problem()
+        fwd = simulate_forward(p, 0.0, [0.0], small_noise)
+        sol, iterations, history = picard_solve(p, fwd, small_noise, BASIS, SolverConfig())
+        gaps = sol.diagnostics["per_iteration"]["gap"]
+        assert gaps.shape[0] == iterations == len(history)
+        assert history == [float(np.max(row)) for row in gaps]
+
     def test_bsde_reduction_bit_equivalent(self):
         # with g = 0 and no obstacle the solver must match the plain
         # regression scheme given identical noise (inert branches)
@@ -343,7 +361,7 @@ class TestMajorantGap:
         sol, _, _ = picard_solve(p, fwd, small_noise, BASIS, SolverConfig())
         maj = majorant_sequence(lipschitz_modulus(0.0), M=1.0, M1=1.0,
                                 grid=small_noise.grid, n_max=6)
-        rep = picard_gap_vs_majorant(sol.diagnostics["gap_profiles"], maj, mc_tol=1e-10)
+        rep = picard_gap_vs_majorant(sol.diagnostics["per_iteration"]["gap"], maj, mc_tol=1e-10)
         assert rep.all_within
 
     def test_lipschitz_instance_within(self):
@@ -354,7 +372,7 @@ class TestMajorantGap:
         sol, _, _ = picard_solve(p, fwd, noise, BASIS, SolverConfig(picard_tol=1e-8))
         big_m, m1, _ = majorant_inputs(p, fwd, noise, c=1.0)
         maj = majorant_sequence(p.generators.modulus, big_m, m1, grid, n_max=16)
-        rep = picard_gap_vs_majorant(sol.diagnostics["gap_profiles"], maj, mc_tol=1e-3)
+        rep = picard_gap_vs_majorant(sol.diagnostics["per_iteration"]["gap"], maj, mc_tol=1e-3)
         assert rep.all_within
 
     def test_binding_bookkeeping(self, small_grid):
