@@ -113,24 +113,28 @@ class ProblemSpec:
 # built-in catalog
 
 
-def _brownian_coeffs(d):
+def _brownian_problem(name: str, horizon: float, gen: GeneratorSpec, obstacle_gap: float,
+                      with_obstacle: bool) -> ProblemSpec:
+    """A problem on a one-dimensional Brownian forward from 0 with terminal
+    map x and, unless ``with_obstacle`` is false, obstacle x - obstacle_gap."""
+
     def drift(x):
         return np.zeros_like(x)
 
     def diffusion(x):
-        out = np.zeros((len(x), d, d))
-        idx = np.arange(d)
-        out[:, idx, idx] = 1.0
-        return out
+        return np.ones((len(x), 1, 1))
 
-    return drift, diffusion
+    obstacle = (lambda t, x: x[:, 0] - obstacle_gap) if with_obstacle else None
+    return ProblemSpec(
+        name=name, dim=1, horizon=horizon, drift=drift, diffusion=diffusion,
+        generators=gen, terminal=lambda x: x[:, 0].copy(), obstacle=obstacle,
+        spot=np.zeros(1), lipschitz_const=1.0,
+        growth_const=max(1.0, obstacle_gap),
+    )
 
 
-def _zero_g(ell):
-    def g(t, x, y, z):
-        return np.zeros((len(y), ell))
-
-    return g
+def _zero_g(t, x, y, z):
+    return np.zeros((len(y), 1))
 
 
 def _build_paper_1_4(C=2.0, alpha=0.5, horizon=1.0, obstacle_gap=1.0,
@@ -159,14 +163,7 @@ def _build_paper_1_4(C=2.0, alpha=0.5, horizon=1.0, obstacle_gap=1.0,
         f_y_profile=profile, f_rest=lambda t, x, z: fz * z[:, 0],
         envelope_min_n=1.0,
     )
-    drift, diffusion = _brownian_coeffs(1)
-    obstacle = (lambda t, x: x[:, 0] - obstacle_gap) if with_obstacle else None
-    return ProblemSpec(
-        name="paper-1-4", dim=1, horizon=T, drift=drift, diffusion=diffusion,
-        generators=gen, terminal=lambda x: x[:, 0].copy(), obstacle=obstacle,
-        spot=np.zeros(1), lipschitz_const=1.0,
-        growth_const=max(1.0, obstacle_gap),
-    )
+    return _brownian_problem("paper-1-4", T, gen, obstacle_gap, with_obstacle)
 
 
 def _build_lipschitz_linear(a=0.25, b_coef=0.2, horizon=1.0, obstacle_gap=4.0,
@@ -177,21 +174,14 @@ def _build_lipschitz_linear(a=0.25, b_coef=0.2, horizon=1.0, obstacle_gap=4.0,
         return a * y + b_coef * z[:, 0]
 
     gen = GeneratorSpec(
-        f=f, g=_zero_g(1),
+        f=f, g=_zero_g,
         modulus=lipschitz_modulus(2.0 * a * a + 1e-12),
         z_lipschitz=max(2.0 * b_coef * b_coef, 1e-6), z_fraction=0.5,
         g_depends_on_z=False, ell=1,
         f_y_profile=lambda y: a * y, f_rest=lambda t, x, z: b_coef * z[:, 0],
         envelope_min_n=max(1.0, abs(a)),
     )
-    drift, diffusion = _brownian_coeffs(1)
-    obstacle = (lambda t, x: x[:, 0] - obstacle_gap) if with_obstacle else None
-    return ProblemSpec(
-        name="lipschitz-linear", dim=1, horizon=T, drift=drift, diffusion=diffusion,
-        generators=gen, terminal=lambda x: x[:, 0].copy(), obstacle=obstacle,
-        spot=np.zeros(1), lipschitz_const=1.0,
-        growth_const=max(1.0, obstacle_gap),
-    )
+    return _brownian_problem("lipschitz-linear", T, gen, obstacle_gap, with_obstacle)
 
 
 def _build_american_put_like(strike=100.0, rate=0.06, vol=0.2, horizon=0.5, spot=100.0):
@@ -210,7 +200,7 @@ def _build_american_put_like(strike=100.0, rate=0.06, vol=0.2, horizon=0.5, spot
         return -rate * y
 
     gen = GeneratorSpec(
-        f=f, g=_zero_g(1),
+        f=f, g=_zero_g,
         modulus=lipschitz_modulus(rate * rate),
         z_lipschitz=1.0, z_fraction=0.5, g_depends_on_z=False, ell=1,
         f_y_profile=lambda y: -rate * y, f_rest=lambda t, x, z: np.zeros(len(z)),
@@ -248,14 +238,7 @@ def _build_log_modulus(delta=math.exp(-2), g_scale=0.3, horizon=1.0,
         f_y_profile=profile, f_rest=lambda t, x, z: np.zeros(len(z)),
         envelope_min_n=1.0,
     )
-    drift, diffusion = _brownian_coeffs(1)
-    obstacle = (lambda t, x: x[:, 0] - obstacle_gap) if with_obstacle else None
-    return ProblemSpec(
-        name="log-modulus", dim=1, horizon=T, drift=drift, diffusion=diffusion,
-        generators=gen, terminal=lambda x: x[:, 0].copy(), obstacle=obstacle,
-        spot=np.zeros(1), lipschitz_const=1.0,
-        growth_const=max(1.0, obstacle_gap),
-    )
+    return _brownian_problem("log-modulus", T, gen, obstacle_gap, with_obstacle)
 
 
 _CATALOG = {
@@ -694,6 +677,8 @@ def _compile(node, names, used):
         return operand if isinstance(node.op, ast.UAdd) else lambda env: -operand(env)
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         fname = node.func.id
+        if node.keywords:
+            raise ValueError(f"call {fname!r} with keyword arguments not allowed")
         if fname in _CALLS and len(node.args) == 1:
             call, arg = _CALLS[fname], _compile(node.args[0], names, used)
             return lambda env: call(arg(env))

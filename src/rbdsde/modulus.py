@@ -34,7 +34,6 @@ __all__ = [
     "condition_a_uniqueness_check",
     "MajorantSequence",
     "majorant_sequence",
-    "SegmentInfo",
     "constant_budgets",
     "NonTerminationError",
     "horizon_partition",
@@ -54,9 +53,6 @@ _LOGLOG_DELTA = math.exp(-3)
 # rounding in each sampled check
 _AXIOM_U_MAX = 4.0
 _AXIOM_TOL = 1e-9
-
-# horizon_partition bisects each breakpoint down to an interval this wide
-_BISECT_TOL = 1e-10
 
 
 class NonTerminationError(RuntimeError):
@@ -243,7 +239,8 @@ def verify_modulus_axioms(spec: ModulusSpec, samples: int = 1000) -> AxiomReport
 
     Zero at zero, monotonicity on a log/linear sample mix, concavity by the
     secant test (for u1 < u2 < u3: slope(u1, u2) >= slope(u2, u3) - 1e-9), and
-    finiteness of the time integral over [0, 1] at fixed u.
+    finiteness of the time integral over [0, 1] at fixed u, which for a
+    modulus that ignores t is finiteness of rho(1) and rho(4).
     """
     if samples < 3:
         raise ValueError("need at least 3 samples")
@@ -267,12 +264,7 @@ def verify_modulus_axioms(spec: ModulusSpec, samples: int = 1000) -> AxiomReport
     conc_viol = float(np.max(np.maximum(s23 - s12, 0.0), initial=0.0))
     conc_ok = conc_viol <= _AXIOM_TOL
 
-    ts = np.linspace(0.0, 1.0, 65)
-    integ_ok = True
-    for u_fix in (1.0, _AXIOM_U_MAX):
-        ys = np.array([eval_modulus(spec, t, u_fix) for t in ts])
-        if not np.all(np.isfinite(ys)) or not np.isfinite(np.trapezoid(ys, ts)):
-            integ_ok = False
+    integ_ok = all(math.isfinite(eval_modulus(spec, 0.0, u)) for u in (1.0, _AXIOM_U_MAX))
 
     return AxiomReport(zero_at_zero=zero_ok, monotone=mono_ok, concave=conc_ok,
                        time_integrable=integ_ok, max_monotone_violation=mono_viol,
@@ -429,44 +421,21 @@ def majorant_sequence(spec: ModulusSpec, M: float, M1: float, grid: TimeGrid,
     return MajorantSequence(np.array(rows))
 
 
-@dataclass(frozen=True)
-class SegmentInfo:
-    """One finished segment of the horizon partition."""
-
-    index: int
-    upper: float
-    lower: float
-    budget: float
-    m_p: float
-
-
-def constant_budgets(mu: float) -> Callable[[int, SegmentInfo | None], float]:
+def constant_budgets(mu: float) -> Callable[[int, float | None], float]:
     """Budget procedure returning the same mu_0^p for every segment."""
     return lambda p, prev: mu
-
-
-def _time_integral(spec: ModulusSpec, u_const: float, a: float, b: float) -> float:
-    """Trapezoidal rho(., u_const) mass over [a, b] on 129 nodes.
-
-    Every built-in rho ignores t, so one evaluation fills all 129 nodes and
-    the trapezoid sum equals the one from evaluating at each node, bit for
-    bit.  A time-dependent variant must evaluate at each node again.
-    """
-    if b <= a:
-        return 0.0
-    ts = np.linspace(a, b, 129)
-    ys = np.full(129, eval_modulus(spec, a, u_const))
-    return float(np.trapezoid(ys, ts))
 
 
 def horizon_partition(spec: ModulusSpec, M: float, budgets, T: float,
                       *, p_max: int = 10_000) -> np.ndarray:
     """Backward partition T = T_0 > T_1 > ... > T_p = 0 by prescribed rho-mass.
 
-    Segment p receives budget mu_0^p from the ``budgets`` procedure, sets
-    M_p = 2 mu_0^p, and places T_p so that the rho(., M_p) mass over
-    [T_p, T_{p-1}] equals mu_0^p / M (found by bisection down to an interval
-    of ``_BISECT_TOL``).  When the remaining mass down to 0 is at most the target, the
+    Segment p receives budget mu_0^p = ``budgets(p, prev)``, where ``prev`` is
+    the previous segment's budget (None for the first), and sets
+    M_p = 2 mu_0^p.  Every built-in rho ignores t, so the rho(., M_p) mass
+    over [T_p, T_{p-1}] is rho(M_p) (T_{p-1} - T_p), and setting it to
+    mu_0^p / M places T_p = T_{p-1} - (mu_0^p / M) / rho(M_p) in closed
+    form.  When the remaining mass down to 0 is at most the target, the
     segment closes at T_p = 0 and the partition terminates.  After ``p_max``
     segments without closing, raises ``NonTerminationError`` carrying the
     breakpoints reached.
@@ -474,28 +443,19 @@ def horizon_partition(spec: ModulusSpec, M: float, budgets, T: float,
     if M <= 0 or T <= 0:
         raise ValueError("M and T must be positive")
     breakpoints = [float(T)]
-    prev: SegmentInfo | None = None
+    prev = None
     for p in range(1, p_max + 1):
         mu = float(budgets(p, prev))
         if mu <= 0:
             raise ValueError(f"budget for segment {p} must be positive, got {mu}")
-        m_p = 2.0 * mu
         top = breakpoints[-1]
         target = mu / M
-        total = _time_integral(spec, m_p, 0.0, top)
-        if total <= target * (1.0 + 1e-12):
+        rho = eval_modulus(spec, 0.0, 2.0 * mu)
+        if rho * top <= target * (1.0 + 1e-12):
             breakpoints.append(0.0)
             return np.array(breakpoints)
-        lo, hi = 0.0, top  # mass(lo) >= target, mass(hi) = 0
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if _time_integral(spec, m_p, mid, top) >= target:
-                lo = mid
-            else:
-                hi = mid
-        t_p = 0.5 * (lo + hi)
-        breakpoints.append(t_p)
-        prev = SegmentInfo(index=p, upper=top, lower=t_p, budget=mu, m_p=m_p)
+        breakpoints.append(top - target / rho)
+        prev = mu
     raise NonTerminationError(
         f"horizon partition did not reach 0 within {p_max} segments; "
         f"last breakpoint {breakpoints[-1]:.6g} of horizon {T:.6g}",

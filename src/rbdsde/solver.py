@@ -53,8 +53,6 @@ __all__ = [
     "picard_gap_vs_majorant",
 ]
 
-_CHUNK = 8192  # fixed accumulation block so reductions never depend on threading
-
 # comparison_experiment spot-checks its ordering preconditions on this many
 # sampled arguments, allowing _ORDER_TOL of rounding
 _ORDER_SAMPLES = 512
@@ -77,11 +75,13 @@ class ComparisonSetupError(ValueError):
 class RegressionBasis:
     """Finite basis of the state used to project on the forward filtration.
 
-    kind "polynomial" uses all monomials of total degree <= ``degree`` in the
-    standardized state; "piecewise-constant" uses indicators of ``bins``
-    boxes per dimension; "local-polynomial" fits the monomials separately
-    inside each box.  Bin edges follow the per-dimension sample quantiles,
-    which equalizes the per-box sample mass.
+    Every kind is the local-polynomial family: all monomials of total degree
+    <= ``degree`` in the standardized state, fitted separately inside each of
+    ``bins`` boxes per dimension.  Bin edges follow the per-dimension sample
+    quantiles, which equalizes the per-box sample mass.  The other kinds are
+    shorthand, normalised at construction: "polynomial" is one box
+    (``bins`` becomes 1) and "piecewise-constant" is degree 0 (``degree``
+    becomes 0).
     """
 
     kind: str = "polynomial"
@@ -91,9 +91,13 @@ class RegressionBasis:
     def __post_init__(self):
         if self.kind not in ("polynomial", "piecewise-constant", "local-polynomial"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.kind != "piecewise-constant" and self.degree < 0:
+        if self.kind == "polynomial":
+            object.__setattr__(self, "bins", 1)
+        elif self.kind == "piecewise-constant":
+            object.__setattr__(self, "degree", 0)
+        if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.kind != "polynomial" and self.bins < 1:
+        if self.bins < 1:
             raise ValueError("bins must be >= 1")
 
 
@@ -126,22 +130,15 @@ def _bin_ids(state: np.ndarray, bins: int) -> np.ndarray:
     return ids
 
 
-def _moments(loc: np.ndarray, ids: np.ndarray | None, n_bins: int,
-             v2: np.ndarray) -> np.ndarray:
-    """Mean products of the basis columns with each column of ``v2``: one
-    (k, q) block for a dense basis (``ids`` None), one per bin otherwise.
-    Chunked matmul and bincount accumulation keep the reduction order fixed."""
+def _moments(loc: np.ndarray, ids: np.ndarray, n_bins: int, v2: np.ndarray) -> np.ndarray:
+    """Mean products of the basis columns with each column of ``v2``, one
+    (k, q) block per bin.  Bincount accumulation keeps the reduction order
+    fixed."""
     m, k = loc.shape
-    if ids is None:
-        out = np.zeros((k, v2.shape[1]))
-        for c in range(0, m, _CHUNK):
-            out += loc[c:c + _CHUNK].T @ v2[c:c + _CHUNK]
-    else:
-        out = np.empty((n_bins, k, v2.shape[1]))
-        for a in range(k):
-            for j in range(v2.shape[1]):
-                out[:, a, j] = np.bincount(ids, weights=loc[:, a] * v2[:, j],
-                                           minlength=n_bins)
+    out = np.empty((n_bins, k, v2.shape[1]))
+    for a in range(k):
+        for j in range(v2.shape[1]):
+            out[:, a, j] = np.bincount(ids, weights=loc[:, a] * v2[:, j], minlength=n_bins)
     return out / m
 
 
@@ -150,23 +147,21 @@ class RegressionPlan:
 
     ``states`` holds the (M, n, d) forward paths.  The first ``fit`` at a node
     builds and caches what depends on the state alone: the standardisation
-    (mu, sd), for binned bases the bin ids, and the ridged Gram matrices.
+    (mu, sd), the bin ids, and the ridged Gram matrices.
     Later fits there only accumulate the right-hand side, so a Picard loop
     projecting every sweep on the same filtration pays for its designs once,
     and a rank-deficient design is reported at the first fit that needs it.
 
-    Polynomial bases use one dense Gram matrix; binned bases exploit the
-    block-diagonal Gram matrix and solve one small system per occupied bin
-    (piecewise-constant is the local-polynomial basis at degree 0).  The local
-    monomials are rebuilt from (mu, sd) at each fit rather than stored, which
-    keeps the plan at one small integer per path and node.
+    The Gram matrix is block diagonal, so the plan solves one small system
+    per occupied bin.  The local monomials are rebuilt from (mu, sd) at each
+    fit rather than stored, which keeps the plan at one small integer per
+    path and node.
     """
 
     def __init__(self, basis: RegressionBasis, states: np.ndarray, ridge: float):
         self.states = np.asarray(states, dtype=float)
         self.basis = basis
         self.ridge = ridge
-        self.degree = 0 if basis.kind == "piecewise-constant" else basis.degree
         self._nodes = {}
 
     def _design(self, node: int):
@@ -175,14 +170,12 @@ class RegressionPlan:
         mu = state.mean(axis=0)
         sd = state.std(axis=0)
         sd = np.where(sd > 0, sd, 1.0)
-        loc = _monomials((state - mu) / sd, self.degree)
+        loc = _monomials((state - mu) / sd, self.basis.degree)
         k = loc.shape[1]
-        ids, n_bins = None, 1
-        if self.basis.kind != "polynomial":
-            occupied, ids = np.unique(_bin_ids(state, self.basis.bins), return_inverse=True)
-            n_bins = len(occupied)
-            # the smallest unsigned type holding every id: one byte up to 256 bins
-            ids = ids.astype(np.min_scalar_type(n_bins - 1))
+        occupied, ids = np.unique(_bin_ids(state, self.basis.bins), return_inverse=True)
+        n_bins = len(occupied)
+        # the smallest unsigned type holding every id: one byte up to 256 bins
+        ids = ids.astype(np.min_scalar_type(n_bins - 1))
         if m < n_bins * k:
             raise ValueError(f"need at least as many paths ({m}) as basis "
                              f"functions ({n_bins * k}) at node {node}")
@@ -192,10 +185,8 @@ class RegressionPlan:
         else:
             short = np.flatnonzero(np.atleast_1d(np.linalg.matrix_rank(gram)) < k)
             if short.size:
-                where = f"node {node}" + (
-                    "" if ids is None else f", bin {occupied[short[0]]}")
-                raise SingularRegressionError(
-                    f"rank-deficient normal equations with ridge = 0 at {where}")
+                raise SingularRegressionError("rank-deficient normal equations with ridge = 0 "
+                                              f"at node {node}, bin {occupied[short[0]]}")
         return mu, sd, ids, n_bins, gram
 
     def fit(self, node: int, values: np.ndarray) -> np.ndarray:
@@ -204,11 +195,11 @@ class RegressionPlan:
         if node not in self._nodes:
             self._nodes[node] = self._design(node)
         mu, sd, ids, n_bins, gram = self._nodes[node]
-        loc = _monomials((self.states[:, node] - mu) / sd, self.degree)
+        loc = _monomials((self.states[:, node] - mu) / sd, self.basis.degree)
         vals = np.asarray(values, dtype=float)
         v2 = vals[:, None] if vals.ndim == 1 else vals
         coef = np.linalg.solve(gram, _moments(loc, ids, n_bins, v2))
-        fitted = loc @ coef if ids is None else np.einsum("ma,maq->mq", loc, coef[ids])
+        fitted = np.einsum("ma,maq->mq", loc, coef[ids])
         return fitted[:, 0] if vals.ndim == 1 else fitted
 
 
@@ -260,19 +251,16 @@ def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble
                         cfg: SolverConfig, start_index: int = 0) -> SolutionTriple:
     """One backward sweep with the generator y-arguments frozen at ``frozen_y``.
 
-    ``frozen_y`` is a ProcessSample or an (M, N+1) array on the same grid,
-    and ``plan`` a regression plan of ``forward``'s paths.  Values before
-    ``start_index`` replicate the start-node solution (the standard extension
-    below the start time).
+    ``frozen_y`` is an (M, N+1) array on the same grid, and ``plan`` a
+    regression plan of ``forward``'s paths.  Values before ``start_index``
+    replicate the start-node solution (the standard extension below the
+    start time).
     """
     grid = noise.grid
     n_steps = grid.num_steps
     m = noise.num_paths
     gen = problem.generators
-    if isinstance(frozen_y, ProcessSample):
-        frozen = frozen_y.values[:, :, 0]
-    else:
-        frozen = np.asarray(frozen_y, dtype=float)
+    frozen = np.asarray(frozen_y, dtype=float)
     if frozen.shape != (m, n_steps + 1):
         raise ValueError("frozen_y must have shape (num_paths, N+1)")
     if noise.ell != gen.ell:

@@ -5,8 +5,10 @@ in ``src/``, ``tests/`` and ``bench/``: a defaulted parameter that no call
 passes, by keyword or by position, is a setting with a single value in use,
 and belongs in the code as a constant.  A call that only hands on another
 such parameter unchanged, or passes a literal equal to the default, does not
-count as setting it.  Every name a module exports in ``__all__`` must also
-resolve, so a removal leaves no stale export behind.
+count as setting it.  A parameter of a private helper that every call
+passes as the same literal is a constant in the same way.  Every name a
+module exports in ``__all__`` must also resolve, so a removal leaves no stale
+export behind.
 """
 
 import ast
@@ -35,18 +37,22 @@ def _literal(node: ast.expr):
         return NOT_LITERAL
 
 
+def _written(fn: ast.FunctionDef, is_method: bool):
+    """The positional parameters a caller writes: all but a method's self."""
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in fn.decorator_list)
+    return (fn.args.posonlyargs + fn.args.args)[1 if is_method and not static else 0:]
+
+
 def _defaulted(fn: ast.FunctionDef, is_method: bool):
     """(name, position or None, default) of each defaulted parameter; the
     position counts from the first argument a caller writes, None for
     keyword-only; the default is its literal value, else NOT_LITERAL."""
     args = fn.args
-    positional = args.posonlyargs + args.args
-    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                 for d in fn.decorator_list)
-    skip = 1 if is_method and not static else 0
+    positional = _written(fn, is_method)
     first = len(positional) - len(args.defaults)
     for index, default in zip(range(first, len(positional)), args.defaults):
-        yield positional[index].arg, index - skip, _literal(default)
+        yield positional[index].arg, index, _literal(default)
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
             yield arg.arg, None, _literal(default)
@@ -62,6 +68,31 @@ def _public_functions(tree: ast.Module, module: str):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     yield f"{module}.{node.name}.{item.name}", item, True
+
+
+def _private_helpers(tree: ast.Module, module: str):
+    """(qualified name, def node, is_method) of each private function and
+    private method; dunder methods are called by the language, not by name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            yield f"{module}.{node.name}", node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef) and item.name.startswith("_")
+                        and not item.name.endswith("__")):
+                    yield f"{module}.{node.name}.{item.name}", item, True
+
+
+def _helper_parameters():
+    """{(qualified name, called name): [(parameter, position or None), ...]}."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, fn, is_method in _private_helpers(ast.parse(path.read_text()), path.stem):
+            params = [(a.arg, i) for i, a in enumerate(_written(fn, is_method))]
+            params += [(a.arg, None) for a in fn.args.kwonlyargs]
+            if params:
+                out[(qualified, fn.name)] = params
+    return out
 
 
 def _public_parameters():
@@ -150,6 +181,27 @@ def _unset(params, calls):
             for name, _, _ in defaulted if (qualified, name) not in is_set]
 
 
+def _constant_arguments(params, calls):
+    """``qualified(parameter=value)`` of each parameter that every call passes,
+    by keyword or by position, as one and the same literal."""
+    out = []
+    for (qualified, called), named in sorted(params.items()):
+        sites = calls.get(called, ())
+        for name, position in named:
+            passed = []
+            for positional, keywords in sites:
+                if name in keywords:
+                    passed.append(keywords[name])
+                elif position is not None and position < len(positional):
+                    passed.append(positional[position])
+                else:
+                    passed.append(None)
+            if (passed and all(isinstance(src, Literal) for src in passed)
+                    and all(src == passed[0] for src in passed)):
+                out.append(f"{qualified}({name}={passed[0].value!r})")
+    return out
+
+
 def test_scan_sees_keyword_positional_and_pass_through():
     tree = ast.parse("def f(a, b=1, *, c=2):\n    pass\n")
     params = {("m.f", "f"): list(_defaulted(tree.body[0], False)),
@@ -177,6 +229,21 @@ def test_every_defaulted_parameter_has_a_caller():
     missing = [name for name in missing if name not in KEPT_FOR_BENCH]
     assert not missing, ("defaulted parameters that no call in src/, tests/ or bench/ "
                          f"sets ({len(missing)}): " + ", ".join(missing))
+
+
+def test_scan_flags_a_helper_argument_that_never_varies():
+    params = {("m._h", "_h"): [("a", 0), ("b", 1)]}
+    same_b = [([None, Literal(1)], {}), ([None], {"b": Literal(1)})]
+    assert _constant_arguments(params, {"_h": same_b}) == ["m._h(b=1)"]
+    assert _constant_arguments(params, {"_h": same_b + [([None], {})]}) == []
+    assert _constant_arguments(params, {"_h": same_b + [([None, Literal(2)], {})]}) == []
+
+
+def test_no_helper_argument_is_always_the_same_literal():
+    constant = _constant_arguments(_helper_parameters(), _calls())
+    assert not constant, ("private helper parameters that every call in src/, tests/ or "
+                          f"bench/ passes as one literal ({len(constant)}): "
+                          + ", ".join(constant))
 
 
 def test_every_exported_name_resolves():

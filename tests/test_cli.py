@@ -153,6 +153,12 @@ class TestSolveCommand:
         f.write_text(json.dumps(cfg))
         assert run(["solve", "--config", str(f)], monkeypatch, tmp_path) == 0
 
+    def test_expression_with_keyword_arguments_rejected(self, tmp_path, monkeypatch, capsys):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"problem": {"f_expr": "exp(y, k=z)"}}))
+        assert run(["solve", "--config", str(f)], monkeypatch, tmp_path) == 2
+        assert "keyword arguments" in capsys.readouterr().err
+
     def test_flags_override_config(self, tmp_path, monkeypatch):
         cfg = {"monte_carlo": {"paths": 500, "seed": 1}, "grid": {"T": 1.0, "N": 10}}
         f = tmp_path / "cfg.json"

@@ -267,6 +267,11 @@ class TestExpressions:
         with pytest.raises(ValueError):
             compile_expression("exp(y, 2)")
 
+    @pytest.mark.parametrize("src", ["exp(y, k=z)", "max(x, y, key=q)"])
+    def test_rejects_keyword_arguments(self, src):
+        with pytest.raises(ValueError, match="keyword arguments"):
+            compile_expression(src)
+
     def test_dim_guard(self):
         f = compile_expression("x")
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pickle
 import numpy as np
 import pytest
 
-from rbdsde import modulus
 from rbdsde.modulus import (NonTerminationError, builtin_condition_a_fixtures,
                             condition_a_uniqueness_check, constant_budgets,
                             eval_modulus, horizon_partition, lipschitz_modulus,
@@ -217,6 +216,27 @@ class TestHorizonPartition:
             assert abs(np.sum(-np.diff(bp)) - 1.3) < 1e-12
             assert bp[-1] == 0.0
 
+    @pytest.mark.parametrize("c, budget, horizon", [(1.0, 1.0, 3.0), (50.0, 1.0, 0.5),
+                                                    (0.5, 0.7, 1.3)])  # criterion 7
+    def test_lipschitz_breakpoints_in_closed_form(self, c, budget, horizon):
+        # rho(M_p) = 2 c mu, so each segment has length (mu / M) / (2 c mu) = 1 / (2 c M)
+        m = 1.0
+        bp = horizon_partition(lipschitz_modulus(c), M=m,
+                               budgets=constant_budgets(budget), T=horizon)
+        k = np.arange(len(bp) - 1)
+        assert np.max(np.abs(bp[:-1] - (horizon - k / (2.0 * c * m)))) <= 1e-13
+        assert bp[-1] == 0.0
+
+    def test_budgets_receive_the_previous_budget(self):
+        calls = []
+
+        def budgets(p, prev):
+            calls.append((p, prev))
+            return 0.5 + p
+
+        bp = horizon_partition(lipschitz_modulus(1.0), M=1.0, budgets=budgets, T=2.0)
+        assert calls == [(1, None)] + [(p, 0.5 + p - 1) for p in range(2, len(bp))]
+
     def test_cap_exceeded(self):
         # shrinking budgets against a sqrt profile make the segment lengths
         # summable below the horizon, so the partition cannot close
@@ -243,43 +263,6 @@ def _sqrt_cap_partition():
     spec = tabulated_modulus(list(zip(us, np.sqrt(us))))
     return horizon_partition(spec, M=1.0, budgets=lambda p, prev: 4.0 ** (-p),
                              T=2.0, p_max=60)
-
-
-def _time_integral_per_node(spec, u_const, a, b):
-    # reference quadrature: rho evaluated afresh at each of the 129 nodes
-    if b <= a:
-        return 0.0
-    ts = np.linspace(a, b, 129)
-    ys = np.array([eval_modulus(spec, t, u_const) for t in ts])
-    return float(np.trapezoid(ys, ts))
-
-
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_one_evaluation_time_integral_matches_per_node(name):
-    spec = SPECS[name]
-    for u_const in (0.0, 1e-9, 0.3, 2.0, 40.0):
-        for a, b in ((0.0, 1.0), (0.25, 0.3), (1.1, 2.9), (0.7, 0.7)):
-            got = modulus._time_integral(spec, u_const, a, b)
-            assert got == _time_integral_per_node(spec, u_const, a, b)
-
-
-def test_one_evaluation_partitions_are_bit_identical(monkeypatch):
-    cases = ((1.0, 1.0, 3.0), (50.0, 1.0, 0.5), (0.5, 0.7, 1.3))  # criterion 7
-
-    def run():
-        parts = [horizon_partition(lipschitz_modulus(c), M=1.0,
-                                   budgets=constant_budgets(budget), T=horizon)
-                 for c, budget, horizon in cases]
-        with pytest.raises(NonTerminationError) as info:
-            _sqrt_cap_partition()
-        return parts, info.value.last_breakpoint
-
-    fast, fast_last = run()
-    monkeypatch.setattr(modulus, "_time_integral", _time_integral_per_node)
-    slow, slow_last = run()
-    for a, b in zip(fast, slow):
-        assert np.array_equal(a, b)
-    assert fast_last == slow_last
 
 
 class TestMomentBound:

@@ -105,6 +105,17 @@ class TestRegressionPlan:
             assert np.array_equal(plan.fit(i, v), ref)
             assert np.array_equal(plan.fit(i, v), ref)
 
+    def test_polynomial_is_the_one_bin_local_polynomial(self, small_noise, rng):
+        poly = RegressionBasis(kind="polynomial", degree=2, bins=0)
+        assert poly.bins == 1
+        assert RegressionBasis(kind="piecewise-constant", degree=3, bins=8).degree == 0
+        xs = simulate_forward(brownian_problem(), 0.0, [0.0], small_noise).paths.values
+        local = RegressionBasis(kind="local-polynomial", degree=2, bins=1)
+        plans = [RegressionPlan(b, xs, SolverConfig().ridge) for b in (poly, local)]
+        values = rng.normal(size=(small_noise.num_paths, 2))
+        for i in range(small_noise.grid.num_steps):
+            assert np.array_equal(plans[0].fit(i, values), plans[1].fit(i, values))
+
     def test_fresh_plan_equals_partly_fitted_plan(self, small_noise):
         # a plan that has already fitted the later nodes builds the rest on demand
         p = brownian_problem()
@@ -190,7 +201,8 @@ class TestBackwardScheme:
         fwd = simulate_forward(p, 0.0, [0.0], small_noise)
         cfg = SolverConfig(picard_tol=1e-6)
         sol, _, _ = picard_solve(p, fwd, small_noise, BASIS, cfg)
-        again = solve_frozen_rbdsde(p, sol.y, fwd, small_noise, sweep_plan(fwd), cfg)
+        again = solve_frozen_rbdsde(p, sol.y.values[:, :, 0], fwd, small_noise,
+                                    sweep_plan(fwd), cfg)
         gap = float(np.max(np.mean((again.y.values - sol.y.values) ** 2, axis=0)))
         assert gap < cfg.picard_tol
 
