@@ -14,8 +14,8 @@ from .generators import (GeneratorSpec, ProblemSpec, builtin_problem,
                          lipschitz_envelope, envelope_property_check)
 from .forward import ForwardEnsemble, simulate_forward, flow_continuity_test
 from .solver import (RegressionBasis, RegressionPlan, SolverConfig, SolutionTriple,
-                     regress_conditional, solve_frozen_rbdsde, picard_solve,
-                     skorokhod_residual, comparison_experiment)
+                     solve_frozen_rbdsde, picard_solve, skorokhod_residual,
+                     comparison_experiment)
 from .field import (FieldSample, DossTransform, evaluate_u_field,
                     solve_doss_eta, monotone_field_sequence)
 
@@ -30,7 +30,6 @@ __all__ = [
     "envelope_property_check",
     "ForwardEnsemble", "simulate_forward", "flow_continuity_test",
     "RegressionBasis", "RegressionPlan", "SolverConfig", "SolutionTriple",
-    "regress_conditional",
     "solve_frozen_rbdsde", "picard_solve", "skorokhod_residual",
     "comparison_experiment",
     "FieldSample", "DossTransform", "evaluate_u_field", "solve_doss_eta",

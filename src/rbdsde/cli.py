@@ -2,8 +2,8 @@
 
 Subcommands: ``solve`` (backward solve with gap history and flatness
 report), ``field`` (u(t, x) evaluation, optionally with envelope brackets),
-``verify`` (the per-module verification suites), ``compare`` (ordered-pair
-comparison), and ``condition-a`` (alias of ``verify condition-a``).
+``verify`` (the per-module verification suites) and ``compare``
+(ordered-pair comparison).
 
 One flat JSON config file describes an experiment; command-line flags win
 over the file, and the RBDSDE_OUT environment variable finally overrides the
@@ -447,9 +447,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", type=str,
                           help=f"one of: {', '.join(sorted(_SUITES))}")
 
-    p_cond = sub.add_parser("condition-a", help="alias of 'verify condition-a'")
-    io_flags(p_cond)
-
     p_cmp = sub.add_parser("compare", help="ordered-pair comparison experiment")
     common(p_cmp)
     p_cmp.add_argument("--shift", type=str, default="terminal",
@@ -505,8 +502,6 @@ def main(argv=None) -> int:
             return cmd_field(cfg)
         if args.command == "verify":
             return cmd_verify(cfg, args.suite)
-        if args.command == "condition-a":
-            return cmd_verify(cfg, "condition-a")
         if args.command == "compare":
             return cmd_compare(cfg, args.shift, args.amount)
     except ConfigError as e:

@@ -1,8 +1,10 @@
 """Concave modulus calculus.
 
-A modulus rho(t, u) replaces the Lipschitz constant of the generators in the
-y variable: it is continuous, concave, non-decreasing with rho(t, 0) = 0, and
-the zero function must be the unique solution of u' = -M rho(t, u), u(T) = 0.
+A modulus rho(u) replaces the Lipschitz constant of the generators in the
+y variable: it is continuous, concave, non-decreasing with rho(0) = 0, and
+the zero function must be the unique solution of u' = -M rho(u), u(T) = 0.
+The paper allows a time-dependent rho(t, u); every modulus here is
+independent of t, and the closed-form horizon partition relies on it.
 This module evaluates the built-in moduli, checks the axioms numerically,
 runs the uniqueness (Osgood-type) test, and builds the majorant sequence and
 horizon partition that control the Picard iteration.
@@ -49,8 +51,9 @@ _VARIANTS = ("lipschitz", "log", "loglog", "tabulated")
 _LOG_DELTA = math.exp(-2)
 _LOGLOG_DELTA = math.exp(-3)
 
-# verify_modulus_axioms samples u in (0, _AXIOM_U_MAX] and allows _AXIOM_TOL of
-# rounding in each sampled check
+# verify_modulus_axioms samples _AXIOM_SAMPLES points of (0, _AXIOM_U_MAX] and
+# allows _AXIOM_TOL of rounding in each sampled check
+_AXIOM_SAMPLES = 1000
 _AXIOM_U_MAX = 4.0
 _AXIOM_TOL = 1e-9
 
@@ -75,7 +78,7 @@ class NonTerminationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModulusSpec:
-    """A concave modulus rho(t, u) bounding the squared y-increments of the
+    """A concave modulus rho(u) bounding the squared y-increments of the
     generators; the z-coupling constants of the bound live on GeneratorSpec.
 
     variant "lipschitz" evaluates c_rho * u; "log" and "loglog" evaluate the
@@ -83,8 +86,6 @@ class ModulusSpec:
     with the C^1 linear extension above it; "tabulated" interpolates a
     user-supplied (u, rho(u)) table linearly, extrapolating with the last
     segment slope.
-
-    Every built-in variant ignores the time argument: rho(t, u) = rho(u).
 
     The linear extension above the switch point (``delta``, or the last table
     abscissa) is fixed at construction, and so is the tabulated variant's
@@ -148,8 +149,8 @@ def log_modulus(delta: float = _LOG_DELTA) -> ModulusSpec:
     return ModulusSpec(variant="log", delta=delta)
 
 
-def loglog_modulus(delta: float = _LOGLOG_DELTA) -> ModulusSpec:
-    return ModulusSpec(variant="loglog", delta=delta)
+def loglog_modulus() -> ModulusSpec:
+    return ModulusSpec(variant="loglog", delta=_LOGLOG_DELTA)
 
 
 def tabulated_modulus(points) -> ModulusSpec:
@@ -171,14 +172,13 @@ def _kappa_loglog(delta: float) -> float:
     return math.log(big_l) * (big_l - 1.0) - 1.0
 
 
-def eval_modulus(spec: ModulusSpec, t: float, u):
-    """Evaluate rho(t, u); ``u`` may be a scalar or an array, all entries >= 0.
+def eval_modulus(spec: ModulusSpec, u):
+    """Evaluate rho(u); ``u`` may be a scalar or an array, all entries >= 0.
 
-    Every built-in variant ignores t (the argument is accepted for interface
-    uniformity and for tabulated time-dependent extensions).  A float ``u``
-    (``np.float64`` included) takes a scalar path that skips the array
-    set-up and returns the same float as the array path, bit for bit: it
-    uses the same ``np.log`` and ``np.interp`` calls, not ``math.log``.
+    A float ``u`` (``np.float64`` included) takes a scalar path that skips
+    the array set-up and returns the same float as the array path, bit for
+    bit: it uses the same ``np.log`` and ``np.interp`` calls, not
+    ``math.log``.
     """
     if isinstance(u, float):
         if u < 0:
@@ -234,25 +234,24 @@ class AxiomReport:
         return self.zero_at_zero and self.monotone and self.concave and self.time_integrable
 
 
-def verify_modulus_axioms(spec: ModulusSpec, samples: int = 1000) -> AxiomReport:
+def verify_modulus_axioms(spec: ModulusSpec) -> AxiomReport:
     """Check the modulus axioms on sampled points of (0, 4].
 
     Zero at zero, monotonicity on a log/linear sample mix, concavity by the
     secant test (for u1 < u2 < u3: slope(u1, u2) >= slope(u2, u3) - 1e-9), and
     finiteness of the time integral over [0, 1] at fixed u, which for a
-    modulus that ignores t is finiteness of rho(1) and rho(4).
+    modulus independent of t is finiteness of rho(1) and rho(4).
     """
-    if samples < 3:
-        raise ValueError("need at least 3 samples")
+    samples = _AXIOM_SAMPLES
     rng = np.random.Generator(np.random.Philox(key=[20240901, 0]))
 
-    zero_ok = abs(eval_modulus(spec, 0.0, 0.0)) <= _AXIOM_TOL
+    zero_ok = abs(eval_modulus(spec, 0.0)) <= _AXIOM_TOL
 
     grid = np.unique(np.concatenate([
         np.geomspace(1e-12, _AXIOM_U_MAX, samples // 2),
         np.linspace(_AXIOM_U_MAX / samples, _AXIOM_U_MAX, samples - samples // 2),
     ]))
-    vals = eval_modulus(spec, 0.0, grid)
+    vals = eval_modulus(spec, grid)
     mono_viol = float(np.max(np.maximum(-np.diff(vals), 0.0), initial=0.0))
     mono_ok = mono_viol <= _AXIOM_TOL
 
@@ -264,7 +263,7 @@ def verify_modulus_axioms(spec: ModulusSpec, samples: int = 1000) -> AxiomReport
     conc_viol = float(np.max(np.maximum(s23 - s12, 0.0), initial=0.0))
     conc_ok = conc_viol <= _AXIOM_TOL
 
-    integ_ok = all(math.isfinite(eval_modulus(spec, 0.0, u)) for u in (1.0, _AXIOM_U_MAX))
+    integ_ok = all(math.isfinite(eval_modulus(spec, u)) for u in (1.0, _AXIOM_U_MAX))
 
     return AxiomReport(zero_at_zero=zero_ok, monotone=mono_ok, concave=conc_ok,
                        time_integrable=integ_ok, max_monotone_violation=mono_viol,
@@ -272,7 +271,7 @@ def verify_modulus_axioms(spec: ModulusSpec, samples: int = 1000) -> AxiomReport
 
 
 def osgood_integral(spec: ModulusSpec, eps: float) -> float:
-    """Quadrature of I(eps) = integral_eps^1 du / rho(0, u).
+    """Quadrature of I(eps) = integral_eps^1 du / rho(u).
 
     Evaluated after the substitution u = e^s, which flattens the integrand
     for every built-in profile, on 256 trapezoid nodes per decade.
@@ -283,7 +282,7 @@ def osgood_integral(spec: ModulusSpec, eps: float) -> float:
     n = max(33, int(256 * decades) + 1)
     s = np.linspace(math.log(eps), 0.0, n)
     us = np.exp(s)
-    rho = eval_modulus(spec, 0.0, us)
+    rho = eval_modulus(spec, us)
     if np.any(rho <= 0):
         raise ValueError("modulus vanishes inside the integration range")
     return float(np.trapezoid(us / rho, s))
@@ -305,7 +304,7 @@ class UniquenessReport:
 
 def condition_a_uniqueness_check(spec: ModulusSpec, M: float, T: float,
                                  eps_ladder) -> UniquenessReport:
-    """Numerical test of the uniqueness property of u' = -M rho(t, u), u(T)=0.
+    """Numerical test of the uniqueness property of u' = -M rho(u), u(T)=0.
 
     Two independent probes, both of which must agree for a definite verdict:
 
@@ -315,7 +314,7 @@ def condition_a_uniqueness_check(spec: ModulusSpec, M: float, T: float,
         tail increments stays at or above 0.6 (the ratio form is what
         separates logarithmic divergence from convergence at double
         precision).
-    (b) Shooting: integrating u' = -M rho(t, u) backward from u(T) = eps, the
+    (b) Shooting: integrating u' = -M rho(u) backward from u(T) = eps, the
         value u(0) must decrease along the ladder and shrink overall to at
         most half its value at the first rung.
 
@@ -329,7 +328,7 @@ def condition_a_uniqueness_check(spec: ModulusSpec, M: float, T: float,
         raise ValueError("eps_ladder must decrease strictly inside (0, 1)")
 
     probe = np.geomspace(eps[-1], 1.0, 257)
-    if np.any(eval_modulus(spec, 0.0, probe) <= 0):
+    if np.any(eval_modulus(spec, probe) <= 0):
         return UniquenessReport(verdict="inconclusive", osgood_diverges=False,
                                 shooting_vanishes=False, integral_values=np.array([]),
                                 tail_rates=np.array([]), tail_ratios=np.array([]),
@@ -349,7 +348,7 @@ def condition_a_uniqueness_check(spec: ModulusSpec, M: float, T: float,
                            or (len(tail_ratios) > 0 and float(np.mean(tail_ratios)) >= 0.6))
 
     def rhs(t, u):
-        return [-M * eval_modulus(spec, t, max(u[0], 0.0))]
+        return [-M * eval_modulus(spec, max(u[0], 0.0))]
 
     shoots = []
     for e in eps:
@@ -382,7 +381,7 @@ class MajorantSequence:
     """Deterministic majorants of the squared Picard gaps.
 
     Row n of ``values`` holds phi_n on the grid nodes, where phi_0(t) is the
-    M-weighted tail integral of rho(s, M1) and each phi_{n+1} re-applies the
+    M-weighted tail integral of rho(M1) and each phi_{n+1} re-applies the
     rho integral to phi_n.  Rows are non-increasing in n and vanish at T.
     """
 
@@ -401,22 +400,17 @@ def _backward_trapezoid(integrand: np.ndarray, dt: np.ndarray) -> np.ndarray:
 
 
 def majorant_sequence(spec: ModulusSpec, M: float, M1: float, grid: TimeGrid,
-                      n_max: int, stop_tol: float = 0.0) -> MajorantSequence:
-    """Build phi_0 .. phi_n by backward trapezoidal quadrature on the grid.
-
-    Stops after ``n_max`` refinements, or earlier once sup_t phi_n drops
-    below ``stop_tol`` (if positive).
-    """
-    if M <= 0 or M1 <= 0:
+                      n_max: int) -> MajorantSequence:
+    """Build phi_0 .. phi_{n_max} by backward trapezoidal quadrature of rho(u)
+    on the grid."""
+    if not (M > 0 and M1 > 0):
         raise ValueError("M and M1 must be positive")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     dt = grid.dt
-    rows = [M * _backward_trapezoid(np.full(grid.num_steps + 1, eval_modulus(spec, 0.0, M1)), dt)]
+    rows = [M * _backward_trapezoid(np.full(grid.num_steps + 1, eval_modulus(spec, M1)), dt)]
     for _ in range(n_max):
-        if stop_tol > 0 and float(np.max(rows[-1])) < stop_tol:
-            break
-        integrand = eval_modulus(spec, 0.0, np.maximum(rows[-1], 0.0))
+        integrand = eval_modulus(spec, np.maximum(rows[-1], 0.0))
         rows.append(M * _backward_trapezoid(integrand, dt))
     return MajorantSequence(np.array(rows))
 
@@ -432,25 +426,24 @@ def horizon_partition(spec: ModulusSpec, M: float, budgets, T: float,
 
     Segment p receives budget mu_0^p = ``budgets(p, prev)``, where ``prev`` is
     the previous segment's budget (None for the first), and sets
-    M_p = 2 mu_0^p.  Every built-in rho ignores t, so the rho(., M_p) mass
-    over [T_p, T_{p-1}] is rho(M_p) (T_{p-1} - T_p), and setting it to
-    mu_0^p / M places T_p = T_{p-1} - (mu_0^p / M) / rho(M_p) in closed
-    form.  When the remaining mass down to 0 is at most the target, the
-    segment closes at T_p = 0 and the partition terminates.  After ``p_max``
-    segments without closing, raises ``NonTerminationError`` carrying the
-    breakpoints reached.
+    M_p = 2 mu_0^p.  The rho(M_p) mass over [T_p, T_{p-1}] is
+    rho(M_p) (T_{p-1} - T_p), and setting it to mu_0^p / M places
+    T_p = T_{p-1} - (mu_0^p / M) / rho(M_p) in closed form.  When the
+    remaining mass down to 0 is at most the target, the segment closes at
+    T_p = 0 and the partition terminates.  After ``p_max`` segments without
+    closing, raises ``NonTerminationError`` carrying the breakpoints reached.
     """
-    if M <= 0 or T <= 0:
+    if not (M > 0 and T > 0):
         raise ValueError("M and T must be positive")
     breakpoints = [float(T)]
     prev = None
     for p in range(1, p_max + 1):
         mu = float(budgets(p, prev))
-        if mu <= 0:
+        if not mu > 0:
             raise ValueError(f"budget for segment {p} must be positive, got {mu}")
         top = breakpoints[-1]
         target = mu / M
-        rho = eval_modulus(spec, 0.0, 2.0 * mu)
+        rho = eval_modulus(spec, 2.0 * mu)
         if rho * top <= target * (1.0 + 1e-12):
             breakpoints.append(0.0)
             return np.array(breakpoints)

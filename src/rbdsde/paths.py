@@ -222,28 +222,20 @@ class ProcessSample:
         return self.values.shape[2]
 
 
-def empirical_norm(p: ProcessSample, kind: str, start: int = 0, stop: int | None = None) -> float:
-    """Empirical norm estimator over the window [start, stop] of node indices.
+def empirical_norm(p: ProcessSample, kind: str) -> float:
+    """Empirical norm estimator over the whole grid.
 
     kind "S2": mean over paths of the running sup of |.|^2;
     kind "M2": mean over paths of the left-endpoint time integral of ||.||^2;
-    kind "A2": mean over paths of the squared value at the last window node.
+    kind "A2": mean over paths of the squared value at the last node.
     """
     if p.values.size == 0:
         raise ValueError("empty sample")
-    n_nodes = p.grid.num_steps + 1
-    stop = n_nodes - 1 if stop is None else stop
-    if not (0 <= start <= stop <= n_nodes - 1):
-        raise ValueError(f"bad window [{start}, {stop}]")
-    sq = np.sum(p.values[:, start:stop + 1] ** 2, axis=2)
+    sq = np.sum(p.values ** 2, axis=2)
     if kind == "S2":
         return float(np.mean(np.max(sq, axis=1)))
     if kind == "M2":
-        if stop == start:
-            return 0.0
-        dt = p.grid.dt[start:stop]
-        return float(np.mean(np.sum(sq[:, :-1] * dt, axis=1)))
+        return float(np.mean(np.sum(sq[:, :-1] * p.grid.dt, axis=1)))
     if kind == "A2":
         return float(np.mean(sq[:, -1]))
     raise ValueError(f"unknown norm kind {kind!r}")
-

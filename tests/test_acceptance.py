@@ -272,7 +272,7 @@ def test_criterion_11_field_consistency():
     noise2 = sample_noise(grid2, 4000, seed=31)
     rep = monotone_field_sequence(free, [4, 8, 16], [-0.5, 0.0, 0.5],
                                   [0.0, grid2.nodes[12]], noise2, basis,
-                                  SolverConfig(), u_range=20.0)
+                                  SolverConfig())
     bracket_ok = (rep.lower_monotone_violations == 0
                   and rep.upper_monotone_violations == 0
                   and rep.base_within_bracket)

@@ -1,14 +1,16 @@
-"""No parameter without a caller.
+"""No parameter without a caller, and no parameter without a reader.
 
 An AST scan of the package's public functions and methods against every call
-in ``src/``, ``tests/`` and ``bench/``: a defaulted parameter that no call
-passes, by keyword or by position, is a setting with a single value in use,
-and belongs in the code as a constant.  A call that only hands on another
-such parameter unchanged, or passes a literal equal to the default, does not
+in ``src/`` and ``bench/``: a defaulted parameter that no call passes, by
+keyword or by position, is a setting with a single value in use, and belongs
+in the code as a constant.  Calls in ``tests/`` do not count: a setting that
+only a test varies has no user.  A call that only hands on another such
+parameter unchanged, or passes a literal equal to the default, does not
 count as setting it.  A parameter of a private helper that every call
-passes as the same literal is a constant in the same way.  Every name a
-module exports in ``__all__`` must also resolve, so a removal leaves no stale
-export behind.
+passes as the same literal is a constant in the same way.  A parameter of a
+public function or method that its body never reads is an argument every
+caller writes for nothing.  Every name a module exports in ``__all__`` must
+also resolve, so a removal leaves no stale export behind.
 """
 
 import ast
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rbdsde"
-SCANNED = ("src", "tests", "bench")
+SCANNED = ("src", "bench")
 NOT_LITERAL = object()
 # bench/workloads.py passes these by keyword, always with the default, so
 # they stay until the benchmark's workloads stop passing them
@@ -106,20 +108,20 @@ def _public_parameters():
     return out
 
 
-def _calls():
+def _calls(root: Path = ROOT):
     """{called name: [(positional sources, keyword sources)]} over every call
-    in the scanned trees, a call named by its last attribute.  An argument's
-    source is (function, parameter) when it is a bare defaulted parameter of
-    the public package function making the call, ``Literal(value)`` when it
-    is a literal, else None.  ``*args`` and
+    in the scanned trees under ``root``, a call named by its last attribute.
+    An argument's source is (function, parameter) when it is a bare defaulted
+    parameter of the public package function making the call,
+    ``Literal(value)`` when it is a literal, else None.  ``*args`` and
     ``**kwargs`` only forward what some other call passes, so they and the
     positions after them set nothing themselves."""
     out = {}
     for top in SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
+        for path in sorted((root / top).rglob("*.py")):
             tree = ast.parse(path.read_text())
             scopes = [(tree, "", set())]
-            if path.parent == PACKAGE:
+            if path.parent == root / "src" / "rbdsde":
                 scopes += [(fn, qualified, {name for name, _, _ in _defaulted(fn, is_method)})
                            for qualified, fn, is_method in _public_functions(tree, path.stem)]
             seen = set()
@@ -181,6 +183,21 @@ def _unset(params, calls):
             for name, _, _ in defaulted if (qualified, name) not in is_set]
 
 
+def _unread_parameters(tree: ast.Module, module: str):
+    """``qualified(parameter)`` of each parameter of a public function or
+    public method that its body, nested functions included, never reads; a
+    method's self is not written by its callers and is skipped."""
+    out = []
+    for qualified, fn, is_method in _public_functions(tree, module):
+        args = fn.args
+        params = _written(fn, is_method) + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out += [f"{qualified}({a.arg})" for a in params if a.arg not in read]
+    return out
+
+
 def _constant_arguments(params, calls):
     """``qualified(parameter=value)`` of each parameter that every call passes,
     by keyword or by position, as one and the same literal."""
@@ -223,11 +240,21 @@ def test_scan_ignores_a_literal_equal_to_the_default():
     assert _unset(params, {"f": [same, other]}) == []
 
 
+def test_scan_counts_no_call_from_the_tests(tmp_path):
+    params = {("m.f", "f"): [("b", 1, 1)]}
+    for top, call in (("tests", "f(0, b=2)\n"), ("bench", "f(0)\n"), ("src", "g(f)\n")):
+        (tmp_path / top).mkdir()
+        (tmp_path / top / "use.py").write_text(call)
+    assert _unset(params, _calls(tmp_path)) == ["m.f(b)"]
+    (tmp_path / "bench" / "use.py").write_text("f(0, 2)\n")
+    assert _unset(params, _calls(tmp_path)) == []
+
+
 def test_every_defaulted_parameter_has_a_caller():
     missing = _unset(_public_parameters(), _calls())
     assert all(name in missing for name in KEPT_FOR_BENCH), missing
     missing = [name for name in missing if name not in KEPT_FOR_BENCH]
-    assert not missing, ("defaulted parameters that no call in src/, tests/ or bench/ "
+    assert not missing, ("defaulted parameters that no call in src/ or bench/ "
                          f"sets ({len(missing)}): " + ", ".join(missing))
 
 
@@ -241,9 +268,25 @@ def test_scan_flags_a_helper_argument_that_never_varies():
 
 def test_no_helper_argument_is_always_the_same_literal():
     constant = _constant_arguments(_helper_parameters(), _calls())
-    assert not constant, ("private helper parameters that every call in src/, tests/ or "
-                          f"bench/ passes as one literal ({len(constant)}): "
+    assert not constant, ("private helper parameters that every call in src/ or bench/ "
+                          f"passes as one literal ({len(constant)}): "
                           + ", ".join(constant))
+
+
+def test_scan_flags_a_parameter_the_body_never_reads():
+    tree = ast.parse("def f(a, b, *rest, c=1):\n    return a + (lambda: c)()\n"
+                     "def _g(u):\n    pass\n"
+                     "class K:\n"
+                     "    def m(self, v, w):\n        return v\n"
+                     "    @staticmethod\n    def s(self):\n        pass\n")
+    assert _unread_parameters(tree, "m") == ["m.f(b)", "m.f(rest)", "m.K.m(w)", "m.K.s(self)"]
+
+
+def test_every_parameter_is_read():
+    unread = [name for path in sorted(PACKAGE.glob("*.py"))
+              for name in _unread_parameters(ast.parse(path.read_text()), path.stem)]
+    assert not unread, (f"public parameters that their function never reads ({len(unread)}): "
+                        + ", ".join(unread))
 
 
 def test_every_exported_name_resolves():

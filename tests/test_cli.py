@@ -278,15 +278,18 @@ class TestVerifyCommand:
         assert "FAIL" not in text
 
     @pytest.mark.parametrize("argv", [["verify", "doss", "--paths", "10"],
-                                      ["condition-a", "--problem", "paper-1-4"]])
+                                      ["verify", "condition-a", "--problem", "paper-1-4"]])
     def test_suites_take_no_experiment_flags(self, argv):
         # the suites fix their own problems and sizes, so these flags would do nothing
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
 
-    def test_condition_a_alias(self, tmp_path, monkeypatch):
-        assert run(["condition-a"], monkeypatch, tmp_path) == 0
+    def test_condition_a_is_only_a_suite(self, tmp_path, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            main(["condition-a"])
+        assert exc.value.code == 2
+        assert run(["verify", "condition-a"], monkeypatch, tmp_path) == 0
         text = (tmp_path / "out" / "verify_condition-a.txt").read_text()
         assert text.count("PASS") == 4
 

@@ -149,8 +149,7 @@ class TestMonotoneFields:
         p = builtin_problem("lipschitz-linear", b_coef=0.0)
         grid = build_grid(1.0, 20)
         noise = sample_noise(grid, 2000, seed=41)
-        rep = monotone_field_sequence(p, [4, 8], [0.0, 0.5], [0.0], noise, BASIS, CFG,
-                                      u_range=20.0)
+        rep = monotone_field_sequence(p, [4, 8], [0.0, 0.5], [0.0], noise, BASIS, CFG)
         assert rep.lower_monotone_violations == 0
         assert rep.upper_monotone_violations == 0
         assert rep.base_within_bracket
@@ -162,7 +161,7 @@ class TestMonotoneFields:
         grid = build_grid(1.0, 25)
         noise = sample_noise(grid, 4000, seed=31)
         rep = monotone_field_sequence(p, [4, 8, 16], [-0.5, 0.0, 0.5], [0.0, grid.nodes[12]],
-                                      noise, BASIS, CFG, u_range=20.0)
+                                      noise, BASIS, CFG)
         assert rep.lower_monotone_violations == 0
         assert rep.upper_monotone_violations == 0
         assert rep.widths_non_increasing

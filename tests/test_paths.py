@@ -161,12 +161,6 @@ class TestNorms:
         for kind in ("S2", "M2", "A2"):
             assert empirical_norm(p, kind) == 0.0
 
-    def test_window_monotone(self, small_grid, small_noise):
-        p = brownian_sample(small_grid, small_noise)
-        full = empirical_norm(p, "M2")
-        inner = empirical_norm(p, "M2", start=5, stop=30)
-        assert inner <= full
-
     def test_brownian_sup_against_fine_oracle(self):
         g = build_grid(1.0, 256)
         noise = sample_noise(g, 20_000, seed=556)
