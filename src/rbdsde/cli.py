@@ -7,9 +7,10 @@ report), ``field`` (u(t, x) evaluation, optionally with envelope brackets),
 
 One flat JSON config file describes an experiment; command-line flags win
 over the file, and the RBDSDE_OUT environment variable finally overrides the
-output directory.  Every run writes a provenance block (config hash, seed,
-package version) next to its outputs, and all outputs are byte-reproducible
-from (config, seed).
+output directory, each laid over the config by ``ExperimentConfig.merged``.
+Every experiment run writes a provenance block (config hash, seed, package
+version) next to its outputs; the hash covers every section but
+``outputs``, and all outputs are byte-reproducible from (config, seed).
 """
 
 from __future__ import annotations
@@ -97,23 +98,25 @@ class ExperimentConfig:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.render().encode()).hexdigest()
+        """sha256 of the experiment: every section but ``outputs``, which
+        says only where the results go."""
+        sections = dataclasses.asdict(self)
+        del sections["outputs"]
+        return hashlib.sha256(json.dumps(sections, sort_keys=True).encode()).hexdigest()
 
-    @staticmethod
-    def from_dict(data: dict) -> "ExperimentConfig":
-        """Each section given replaces the fields it names in the default
-        section, so a partial section keeps the other defaults."""
-        defaults = ExperimentConfig()
-        names = [f.name for f in dataclasses.fields(defaults)]
+    def merged(self, data: dict) -> "ExperimentConfig":
+        """This config with each section given laid over it: a section
+        replaces only the fields it names."""
+        names = [f.name for f in dataclasses.fields(self)]
         bad = set(data) - set(names)
         if bad:
             raise ConfigError(f"unknown top-level field {sorted(bad)[0]!r}")
         sections = {}
         for name in (n for n in names if n in data):
-            section, default = data[name], getattr(defaults, name)
+            section, current = data[name], getattr(self, name)
             if not isinstance(section, dict):
                 raise ConfigError(f"section {name!r} must be an object")
-            bad = set(section) - {f.name for f in dataclasses.fields(default)}
+            bad = set(section) - {f.name for f in dataclasses.fields(current)}
             if bad:
                 raise ConfigError(f"unknown field {sorted(bad)[0]!r} in section {name!r}")
             fixed = dict(section)
@@ -121,14 +124,14 @@ class ExperimentConfig:
                 if isinstance(val, list):
                     fixed[key] = tuple(tuple(v) if isinstance(v, list) else v for v in val)
             try:
-                sections[name] = dataclasses.replace(default, **fixed)
+                sections[name] = dataclasses.replace(current, **fixed)
             except ValueError as e:
                 raise ConfigError(f"section {name!r}: {e}") from None
-        return dataclasses.replace(defaults, **sections)
+        return dataclasses.replace(self, **sections)
 
     @staticmethod
     def parse(text: str) -> "ExperimentConfig":
-        return ExperimentConfig.from_dict(json.loads(text))
+        return ExperimentConfig().merged(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +158,14 @@ def _assemble(cfg: ExperimentConfig):
                                         z_lipschitz=gen.z_lipschitz,
                                         z_fraction=gen.z_fraction)
         problem = dataclasses.replace(problem, generators=expr_gen)
-    grid = build_grid(cfg.grid.T, cfg.grid.N)
-    noise = sample_noise(grid, cfg.monte_carlo.paths, d=problem.dim,
-                         ell=problem.generators.ell, seed=cfg.monte_carlo.seed,
-                         b_stream=cfg.monte_carlo.b_stream)
-    return problem, grid, noise, cfg.basis
+    noise = sample_noise(build_grid(cfg.grid.T, cfg.grid.N), cfg.monte_carlo.paths,
+                         d=problem.dim, ell=problem.generators.ell,
+                         seed=cfg.monte_carlo.seed, b_stream=cfg.monte_carlo.b_stream)
+    return problem, noise
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
-    directory = os.environ.get("RBDSDE_OUT", cfg.outputs.directory)
-    path = Path(directory)
+    path = Path(cfg.outputs.directory)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -185,16 +186,16 @@ def _fmt(x: float) -> str:
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
-    problem, grid, noise, basis = _assemble(cfg)
+    problem, noise = _assemble(cfg)
     fwd = simulate_forward(problem, 0.0, problem.spot, noise)
-    sol, iterations, history = picard_solve(problem, fwd, noise, basis, cfg.solver)
+    sol, iterations, history = picard_solve(problem, fwd, noise, cfg.basis, cfg.solver)
     out = _out_dir(cfg)
     _write_provenance(cfg, out)
 
     per_iteration = sol.diagnostics["per_iteration"]
     lines = [",".join(["iteration", "node", "t", *per_iteration])]
     for it, rows in enumerate(zip(*per_iteration.values()), start=1):
-        for i, t in enumerate(grid.nodes):
+        for i, t in enumerate(noise.grid.nodes):
             lines.append(",".join([str(it), str(i), _fmt(t)] + [_fmt(row[i]) for row in rows]))
     (out / "run.csv").write_text("\n".join(lines) + "\n")
 
@@ -220,12 +221,12 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 
 def cmd_field(cfg: ExperimentConfig) -> int:
-    problem, grid, noise, basis = _assemble(cfg)
+    problem, noise = _assemble(cfg)
     fc = cfg.field_eval
     xs = np.linspace(fc.x_min, fc.x_max, fc.x_points)
-    times = [grid.nodes[grid.index_of(t)] for t in fc.times]
+    times = [noise.grid.nodes[noise.grid.index_of(t)] for t in fc.times]
     try:
-        rep = monotone_field_sequence(problem, fc.envelope_n, xs, times, noise, basis,
+        rep = monotone_field_sequence(problem, fc.envelope_n, xs, times, noise, cfg.basis,
                                       cfg.solver)
     except UnsupportedProblemError as e:
         print(f"unsupported problem: {e}", file=sys.stderr)
@@ -386,10 +387,10 @@ def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig, kind: str, amount: float) -> int:
-    problem, grid, noise, basis = _assemble(cfg)
+    problem, noise = _assemble(cfg)
     fwd = simulate_forward(problem, 0.0, problem.spot, noise)
     other = shifted_problem(problem, kind, amount)
-    rep = comparison_experiment(problem, other, fwd, noise, basis, cfg.solver)
+    rep = comparison_experiment(problem, other, fwd, noise, cfg.basis, cfg.solver)
     out = _out_dir(cfg)
     _write_provenance(cfg, out)
     lines = [
@@ -407,68 +408,58 @@ def cmd_compare(cfg: ExperimentConfig, kind: str, amount: float) -> int:
 # argument parsing
 
 
+# one row per experiment flag: (flag, config section, field, argparse options)
+_FLAGS = (
+    ("--out", "outputs", "directory", dict(type=str, help="output directory")),
+    ("--problem", "problem", "name",
+     dict(type=str, help=f"catalog problem ({', '.join(catalog_names())})")),
+    ("--T", "grid", "T", dict(type=float, help="horizon")),
+    ("--N", "grid", "N", dict(type=int, help="time steps")),
+    ("--paths", "monte_carlo", "paths", dict(type=int, help="Monte Carlo paths")),
+    ("--seed", "monte_carlo", "seed", dict(type=int, help="master seed")),
+    ("--degree", "basis", "degree", dict(type=int, help="basis degree")),
+    ("--bins", "basis", "bins", dict(type=int, help="basis bins")),
+    ("--x-min", "field_eval", "x_min", dict(type=float)),
+    ("--x-max", "field_eval", "x_max", dict(type=float)),
+    ("--x-points", "field_eval", "x_points", dict(type=int)),
+    ("--times", "field_eval", "times", dict(type=float, nargs="+")),
+    ("--envelope-n", "field_eval", "envelope_n", dict(type=int, nargs="+")),
+)
+
+# subcommand -> (help, the sections whose flags it takes); the suites fix their
+# own problems and sizes, so verify takes only the output directory
+_EXPERIMENT = ("outputs", "problem", "grid", "monte_carlo", "basis")
+_COMMANDS = {
+    "solve": ("run the backward solver", _EXPERIMENT),
+    "field": ("evaluate the u(t, x) field", _EXPERIMENT + ("field_eval",)),
+    "verify": ("run a verification suite", ("outputs",)),
+    "compare": ("ordered-pair comparison experiment", _EXPERIMENT),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rbdsde",
                                      description="reflected backward doubly stochastic "
                                                  "solver and verification lab")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def io_flags(p):
+    commands = {}
+    for command, (text, sections) in _COMMANDS.items():
+        p = commands[command] = sub.add_parser(command, help=text)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-
-    def common(p):
-        io_flags(p)
-        p.add_argument("--problem", type=str, default=None,
-                       help=f"catalog problem ({', '.join(catalog_names())})")
-        p.add_argument("--T", type=float, default=None, help="horizon")
-        p.add_argument("--N", type=int, default=None, help="time steps")
-        p.add_argument("--paths", type=int, default=None, help="Monte Carlo paths")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--basis", type=str, default=None,
-                       help="polynomial | piecewise-constant | local-polynomial")
-        p.add_argument("--degree", type=int, default=None, help="basis degree")
-        p.add_argument("--bins", type=int, default=None, help="basis bins")
-
-    p_solve = sub.add_parser("solve", help="run the backward solver")
-    common(p_solve)
-
-    p_field = sub.add_parser("field", help="evaluate the u(t, x) field")
-    common(p_field)
-    p_field.add_argument("--x-min", type=float, default=None)
-    p_field.add_argument("--x-max", type=float, default=None)
-    p_field.add_argument("--x-points", type=int, default=None)
-    p_field.add_argument("--times", type=float, nargs="+", default=None)
-    p_field.add_argument("--envelope-n", type=int, nargs="+", default=None)
-
-    # the suites fix their own problems and sizes: only the output directory applies
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    io_flags(p_verify)
-    p_verify.add_argument("suite", type=str,
-                          help=f"one of: {', '.join(sorted(_SUITES))}")
-
-    p_cmp = sub.add_parser("compare", help="ordered-pair comparison experiment")
-    common(p_cmp)
-    p_cmp.add_argument("--shift", type=str, default="terminal",
-                       choices=("terminal", "obstacle", "generator"))
-    p_cmp.add_argument("--amount", type=float, default=1.0)
+        for flag, section, _, options in _FLAGS:
+            if section in sections:
+                p.add_argument(flag, default=None, **options)
+    commands["verify"].add_argument("suite", type=str,
+                                    help=f"one of: {', '.join(sorted(_SUITES))}")
+    commands["compare"].add_argument("--shift", type=str, default="terminal",
+                                     choices=("terminal", "obstacle", "generator"))
+    commands["compare"].add_argument("--amount", type=float, default=1.0)
     return parser
 
 
-# command-line flag -> (config section, field); flags a subcommand lacks are skipped
-_FLAG_FIELDS = {
-    "problem": ("problem", "name"),
-    "T": ("grid", "T"), "N": ("grid", "N"),
-    "paths": ("monte_carlo", "paths"), "seed": ("monte_carlo", "seed"),
-    "basis": ("basis", "kind"), "degree": ("basis", "degree"), "bins": ("basis", "bins"),
-    "out": ("outputs", "directory"),
-    "x_min": ("field_eval", "x_min"), "x_max": ("field_eval", "x_max"),
-    "x_points": ("field_eval", "x_points"), "times": ("field_eval", "times"),
-    "envelope_n": ("field_eval", "envelope_n"),
-}
-
-
 def _load_config(args) -> ExperimentConfig:
+    """The file's config, the flags laid over it, then RBDSDE_OUT over both."""
+    cfg = ExperimentConfig()
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
@@ -479,16 +470,16 @@ def _load_config(args) -> ExperimentConfig:
         except json.JSONDecodeError as e:
             raise ConfigError(
                 f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
-    else:
-        cfg = ExperimentConfig()
 
-    changes: dict[str, dict] = {}
-    for flag, (section, name) in _FLAG_FIELDS.items():
-        val = getattr(args, flag, None)
+    flags: dict[str, dict] = {}
+    for flag, section, name, _ in _FLAGS:
+        val = getattr(args, flag[2:].replace("-", "_"), None)  # argparse's dest
         if val is not None:
-            changes.setdefault(section, {})[name] = tuple(val) if isinstance(val, list) else val
-    return dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), **kw)
-                                       for section, kw in changes.items()})
+            flags.setdefault(section, {})[name] = val
+    cfg = cfg.merged(flags)
+    if "RBDSDE_OUT" in os.environ:
+        cfg = cfg.merged({"outputs": {"directory": os.environ["RBDSDE_OUT"]}})
+    return cfg
 
 
 def main(argv=None) -> int:

@@ -46,8 +46,7 @@ def simulate_forward(problem: ProblemSpec, t: float, x, noise: NoiseEnsemble) ->
         xi = vals[:, i]
         vals[:, i + 1] = (xi + problem.drift(xi) * dt[i]
                           + np.einsum("mij,mj->mi", problem.diffusion(xi), dw[:, i]))
-    sample = ProcessSample(grid=grid, values=vals, kind="Y")
-    return ForwardEnsemble(start_index=i0, paths=sample)
+    return ForwardEnsemble(start_index=i0, paths=ProcessSample(grid=grid, values=vals))
 
 
 @dataclass(frozen=True)

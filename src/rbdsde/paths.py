@@ -30,9 +30,6 @@ __all__ = [
 # practical path count.
 _B_STREAM_BASE = 1 << 62
 
-# Tolerance for the monotonicity check on K-like processes.
-_K_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
@@ -186,40 +183,19 @@ def coarsen_noise(ens: NoiseEnsemble, factor: int) -> NoiseEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class ProcessSample:
-    """Discrete adapted process sample, shape (num_paths, N+1, dim).
-
-    ``kind`` tags the role: "Y" for value-like, "Z" for integrand-like, "K"
-    for reflection-increment processes.  K-like samples must start at 0 and
-    be componentwise non-decreasing in time; this is checked at construction.
-    """
+    """Discrete adapted process sample, shape (num_paths, N+1, dim)."""
 
     grid: TimeGrid
     values: np.ndarray
-    kind: str = "Y"
 
     def __post_init__(self):
-        if self.kind not in ("Y", "Z", "K"):
-            raise ValueError(f"unknown process kind {self.kind!r}")
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 3 or vals.shape[1] != self.grid.num_steps + 1:
             raise ValueError("values must have shape (num_paths, N+1, dim)")
         if vals.shape[0] < 1:
             raise ValueError("need at least one path")
-        if self.kind == "K":
-            if np.any(np.abs(vals[:, 0]) > _K_TOL):
-                raise ValueError("K-like process must start at 0")
-            if np.any(np.diff(vals, axis=1) < -_K_TOL):
-                raise ValueError("K-like process must be non-decreasing")
         vals.setflags(write=False)
-
-    @property
-    def num_paths(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[2]
 
 
 def empirical_norm(p: ProcessSample, kind: str) -> float:

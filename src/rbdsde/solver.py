@@ -58,6 +58,8 @@ _ORDER_SAMPLES = 512
 _ORDER_TOL = 1e-9
 # picard_gap_vs_majorant allows a gap to exceed its majorant by this much
 _GAP_TOL = 1e-3
+# a SolutionTriple's K may start off 0 or step down by this much of rounding
+_K_TOL = 1e-12
 
 
 class SingularRegressionError(RuntimeError):
@@ -224,12 +226,20 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolutionTriple:
-    """Discrete (Y, Z, K) with solver diagnostics."""
+    """Discrete (Y, Z, K) with solver diagnostics; K must start at 0 and be
+    non-decreasing, which is checked at construction."""
 
     y: ProcessSample
     z: ProcessSample
     k: ProcessSample
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        k = self.k.values
+        if np.any(np.abs(k[:, 0]) > _K_TOL):
+            raise ValueError("K must start at 0")
+        if np.any(np.diff(k, axis=1) < -_K_TOL):
+            raise ValueError("K must be non-decreasing")
 
 
 def _check_finite(arr: np.ndarray, what: str, node: int):
@@ -304,9 +314,9 @@ def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble
         y[:, :start_index] = y[:, start_index][:, None]
 
     return SolutionTriple(
-        y=ProcessSample(grid=grid, values=y[:, :, None], kind="Y"),
-        z=ProcessSample(grid=grid, values=z, kind="Z"),
-        k=ProcessSample(grid=grid, values=k[:, :, None], kind="K"),
+        y=ProcessSample(grid=grid, values=y[:, :, None]),
+        z=ProcessSample(grid=grid, values=z),
+        k=ProcessSample(grid=grid, values=k[:, :, None]),
         diagnostics={"value_stderr": value_stderr},
     )
 

@@ -78,8 +78,14 @@ class TestConfig:
         # the config's own basis must be valid; a flag does not rescue it
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps({"basis": {"bins": 0}}))
-        code = run(["solve", "--config", str(f), "--basis", "polynomial"], monkeypatch, tmp_path)
+        code = run(["solve", "--config", str(f), "--bins", "4"], monkeypatch, tmp_path)
         assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: section 'basis': bins must be >= 1" in err
+
+    def test_bad_flag_value_names_its_section(self, tmp_path, monkeypatch, capsys):
+        # flags are merged into the config by the same route as the file
+        assert run(["solve", "--bins", "0"], monkeypatch, tmp_path) == 2
         err = capsys.readouterr().err
         assert "config error: section 'basis': bins must be >= 1" in err
 
@@ -93,6 +99,13 @@ class TestConfig:
     def test_threads_flag_removed(self):
         with pytest.raises(SystemExit) as exc:
             _build_parser().parse_args(["solve", "--threads", "4"])
+        assert exc.value.code == 2
+
+    def test_basis_flag_removed(self):
+        # --bins 1 and --degree 0 say what the kind names polynomial and
+        # piecewise-constant say; the config file keeps basis.kind
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(["solve", "--basis", "polynomial"])
         assert exc.value.code == 2
 
 
@@ -178,9 +191,11 @@ class TestSolveCommand:
         assert run(args, monkeypatch, tmp_path, out="a") == 0
         assert run(args, monkeypatch, tmp_path, out="b") == 0
         assert run(["solve", "--config", str(f)], monkeypatch, tmp_path, out="c") == 0
-        a = (tmp_path / "a" / "run.csv").read_bytes()
-        assert a == (tmp_path / "b" / "run.csv").read_bytes()
-        assert a == (tmp_path / "c" / "run.csv").read_bytes()
+        # one experiment, one config hash, wherever its outputs go
+        for name in ("run.csv", "diagnostics.txt", "provenance.json"):
+            a = (tmp_path / "a" / name).read_bytes()
+            assert a == (tmp_path / "b" / name).read_bytes(), name
+            assert a == (tmp_path / "c" / name).read_bytes(), name
 
 
 class TestFieldCommand:
@@ -318,6 +333,14 @@ class TestEnvOverride:
         assert code == 0
         assert (tmp_path / "env_dir" / "run.csv").exists()
         assert not (tmp_path / "flag_dir").exists()
+
+    def test_config_names_the_directory_written(self, tmp_path, monkeypatch):
+        env_dir = str(tmp_path / "env_dir")
+        monkeypatch.setenv("RBDSDE_OUT", env_dir)
+        assert run(["solve", "--problem", "lipschitz-linear", "--N", "8", "--paths", "300",
+                    "--seed", "1"], monkeypatch, tmp_path, out="flag_dir") == 0
+        config = json.loads((tmp_path / "env_dir" / "config.json").read_text())
+        assert config["outputs"]["directory"] == env_dir
 
 
 def test_readme_command_lines_parse():

@@ -11,7 +11,7 @@ FINE_SUP_SQ = 1.838363189345244
 def brownian_sample(grid, noise):
     m = noise.num_paths
     w = np.concatenate([np.zeros((m, 1, 1)), np.cumsum(noise.w_increments, axis=1)], axis=1)
-    return ProcessSample(grid=grid, values=w, kind="Y")
+    return ProcessSample(grid=grid, values=w)
 
 
 class TestGrid:
@@ -126,25 +126,6 @@ class TestNoise:
         assert np.allclose(coarse.b_path()[-1], ens.b_path()[-1])
         with pytest.raises(ValueError):
             coarsen_noise(ens, 3)
-
-
-class TestProcessSample:
-    def test_k_like_must_start_at_zero(self, small_grid):
-        vals = np.ones((3, small_grid.num_steps + 1, 1))
-        with pytest.raises(ValueError):
-            ProcessSample(grid=small_grid, values=vals, kind="K")
-
-    def test_k_like_must_be_nondecreasing(self, small_grid):
-        vals = np.zeros((3, small_grid.num_steps + 1, 1))
-        vals[:, 5:] = -1.0
-        with pytest.raises(ValueError):
-            ProcessSample(grid=small_grid, values=vals, kind="K")
-
-    def test_k_like_accepts_valid(self, small_grid):
-        vals = np.cumsum(np.abs(np.random.default_rng(0).normal(
-            size=(3, small_grid.num_steps + 1, 1))), axis=1)
-        vals -= vals[:, :1]
-        ProcessSample(grid=small_grid, values=vals, kind="K")
 
 
 class TestNorms:

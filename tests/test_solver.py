@@ -295,6 +295,30 @@ def comparison_setup():
     return p, fwd, noise
 
 
+class TestSolutionTriple:
+    @staticmethod
+    def triple(grid, k):
+        y = ProcessSample(grid=grid, values=np.zeros_like(k))
+        return SolutionTriple(y=y, z=y, k=ProcessSample(grid=grid, values=k))
+
+    def test_k_must_start_at_zero(self, small_grid):
+        vals = np.ones((3, small_grid.num_steps + 1, 1))
+        with pytest.raises(ValueError, match="K must start at 0"):
+            self.triple(small_grid, vals)
+
+    def test_k_must_be_nondecreasing(self, small_grid):
+        vals = np.zeros((3, small_grid.num_steps + 1, 1))
+        vals[:, 5:] = -1.0
+        with pytest.raises(ValueError, match="K must be non-decreasing"):
+            self.triple(small_grid, vals)
+
+    def test_k_accepts_valid(self, small_grid):
+        vals = np.cumsum(np.abs(np.random.default_rng(0).normal(
+            size=(3, small_grid.num_steps + 1, 1))), axis=1)
+        vals -= vals[:, :1]
+        self.triple(small_grid, vals)
+
+
 class TestReflection:
     def test_dominance(self, solved_put):
         p, fwd, sol = solved_put
@@ -312,8 +336,8 @@ class TestReflection:
         n_nodes = small_grid.num_steps + 1
         sol = SolutionTriple(
             y=ProcessSample(grid=small_grid, values=np.ones((4, n_nodes, 1))),
-            z=ProcessSample(grid=small_grid, values=np.zeros((4, n_nodes, 1)), kind="Z"),
-            k=ProcessSample(grid=small_grid, values=np.zeros((4, n_nodes, 1)), kind="K"))
+            z=ProcessSample(grid=small_grid, values=np.zeros((4, n_nodes, 1))),
+            k=ProcessSample(grid=small_grid, values=np.zeros((4, n_nodes, 1))))
         obstacle = np.zeros((4, n_nodes))
         assert skorokhod_residual(sol, obstacle) == 0.0
 
@@ -323,8 +347,8 @@ class TestReflection:
         k = np.cumsum(np.ones((4, n_nodes, 1)), axis=1) - 1.0
         sol = SolutionTriple(
             y=ProcessSample(grid=small_grid, values=np.ones((4, n_nodes, 1))),
-            z=ProcessSample(grid=small_grid, values=np.zeros((4, n_nodes, 1)), kind="Z"),
-            k=ProcessSample(grid=small_grid, values=k, kind="K"))
+            z=ProcessSample(grid=small_grid, values=np.zeros((4, n_nodes, 1))),
+            k=ProcessSample(grid=small_grid, values=k))
         obstacle = np.ones((4, n_nodes))
         assert skorokhod_residual(sol, obstacle) == 0.0
 
