@@ -8,9 +8,9 @@ report), ``field`` (u(t, x) evaluation, optionally with envelope brackets),
 One flat JSON config file describes an experiment; command-line flags win
 over the file, and the RBDSDE_OUT environment variable finally overrides the
 output directory, each laid over the config by ``ExperimentConfig.merged``.
-Every experiment run writes a provenance block (config hash, seed, package
-version) next to its outputs; the hash covers every section but
-``outputs``, and all outputs are byte-reproducible from (config, seed).
+``_COMMANDS`` names the sections each subcommand reads: it takes their flags,
+and its ``config.json`` and config hash (all but ``outputs``) cover just them.
+All outputs are byte-reproducible from (config, seed).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,12 +62,19 @@ class GridConfig:
     T: float = 1.0
     N: int = 50
 
+    def __post_init__(self):
+        build_grid(self.T, self.N)  # raises on a bad horizon or step count
+
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
     paths: int = 20_000
     seed: int = 7
     b_stream: int = 0
+
+    def __post_init__(self):
+        if self.paths < 1:
+            raise ValueError("paths must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,28 @@ class FieldConfig:
     x_points: int = 5
     times: tuple[float, ...] = (0.0,)
     envelope_n: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.x_points < 1:
+            raise ValueError("x_points must be >= 1")
+        if not self.x_min <= self.x_max:  # NaN fails too
+            raise ValueError("x_min must be <= x_max")
+        if not self.times:
+            raise ValueError("times must not be empty")
+        if any(n < 1 for n in self.envelope_n):
+            raise ValueError("every envelope_n must be >= 1")
+
+
+@dataclass(frozen=True)
+class ComparisonConfig:
+    shift: str = "terminal"
+    amount: float = 1.0
+
+    def __post_init__(self):
+        if self.shift not in ("terminal", "obstacle", "generator"):
+            raise ValueError(f"unknown shift kind {self.shift!r}")
+        if not self.amount >= 0:  # NaN fails too
+            raise ValueError("amount must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -88,25 +118,26 @@ class ExperimentConfig:
     problem: ProblemConfig = field(default_factory=ProblemConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     monte_carlo: MonteCarloConfig = field(default_factory=MonteCarloConfig)
-    basis: RegressionBasis = field(
-        default_factory=lambda: RegressionBasis(kind="local-polynomial", degree=1, bins=16))
+    basis: RegressionBasis = field(default_factory=RegressionBasis)
     solver: SolverConfig = field(default_factory=SolverConfig)
     field_eval: FieldConfig = field(default_factory=FieldConfig)
+    comparison: ComparisonConfig = field(default_factory=ComparisonConfig)
     outputs: OutputConfig = field(default_factory=OutputConfig)
 
-    def render(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
+    def render(self, sections: tuple[str, ...]) -> str:
+        data = {name: dataclasses.asdict(getattr(self, name)) for name in sections}
+        return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
-    def config_hash(self) -> str:
-        """sha256 of the experiment: every section but ``outputs``, which
-        says only where the results go."""
-        sections = dataclasses.asdict(self)
-        del sections["outputs"]
-        return hashlib.sha256(json.dumps(sections, sort_keys=True).encode()).hexdigest()
+    def config_hash(self, sections: tuple[str, ...]) -> str:
+        """sha256 of the experiment in these sections: all but ``outputs``,
+        which says only where the results go."""
+        data = {name: dataclasses.asdict(getattr(self, name))
+                for name in sections if name != "outputs"}
+        return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
     def merged(self, data: dict) -> "ExperimentConfig":
         """This config with each section given laid over it: a section
-        replaces only the fields it names."""
+        replaces only the fields it names, each checked against its type."""
         names = [f.name for f in dataclasses.fields(self)]
         bad = set(data) - set(names)
         if bad:
@@ -119,10 +150,14 @@ class ExperimentConfig:
             bad = set(section) - {f.name for f in dataclasses.fields(current)}
             if bad:
                 raise ConfigError(f"unknown field {sorted(bad)[0]!r} in section {name!r}")
-            fixed = dict(section)
-            for key, val in list(fixed.items()):
-                if isinstance(val, list):
-                    fixed[key] = tuple(tuple(v) if isinstance(v, list) else v for v in val)
+            hints = typing.get_type_hints(type(current))
+            fixed = {}
+            for key, val in section.items():
+                try:
+                    fixed[key] = _typed(val, hints[key])
+                except TypeError:
+                    kind = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+                    raise ConfigError(f"section {name!r}: {key} must be {kind}") from None
             try:
                 sections[name] = dataclasses.replace(current, **fixed)
             except ValueError as e:
@@ -132,6 +167,21 @@ class ExperimentConfig:
     @staticmethod
     def parse(text: str) -> "ExperimentConfig":
         return ExperimentConfig().merged(json.loads(text))
+
+
+def _typed(val, hint):
+    """``val`` as a value of type ``hint``, an int standing for a float and a
+    list for a tuple; TypeError if it is no such value."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple and isinstance(val, (list, tuple)):
+        items = args[:1] * len(val) if args[-1] is ... else args
+        if len(items) == len(val):
+            return tuple(map(_typed, val, items))
+    elif hint is float and type(val) in (int, float):
+        return float(val)
+    elif origin is not tuple and isinstance(val, hint) and type(val) is not bool:
+        return val
+    raise TypeError(val)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +197,7 @@ def _assemble(cfg: ExperimentConfig):
     try:
         problem = builtin_problem(cfg.problem.name, **overrides)
     except KeyError as e:
-        raise ConfigError(str(e)) from None
+        raise ConfigError(e.args[0]) from None
     except TypeError as e:
         raise ConfigError(f"bad problem override: {e}") from None
     if cfg.problem.f_expr or cfg.problem.g_expr:
@@ -170,11 +220,14 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def _write_provenance(cfg: ExperimentConfig, out: Path) -> None:
-    block = {"config_hash": cfg.config_hash(), "seed": cfg.monte_carlo.seed,
+def _write_provenance(cfg: ExperimentConfig, command: str, out: Path) -> str:
+    """config.json and provenance.json of the sections ``command`` reads."""
+    sections = _COMMANDS[command][1]
+    block = {"config_hash": cfg.config_hash(sections), "seed": cfg.monte_carlo.seed,
              "package_version": __version__}
     (out / "provenance.json").write_text(json.dumps(block, sort_keys=True, indent=2) + "\n")
-    (out / "config.json").write_text(cfg.render())
+    (out / "config.json").write_text(cfg.render(sections))
+    return block["config_hash"]
 
 
 def _fmt(x: float) -> str:
@@ -190,7 +243,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     fwd = simulate_forward(problem, 0.0, problem.spot, noise)
     sol, iterations, history = picard_solve(problem, fwd, noise, cfg.basis, cfg.solver)
     out = _out_dir(cfg)
-    _write_provenance(cfg, out)
+    digest = _write_provenance(cfg, "solve", out)
 
     per_iteration = sol.diagnostics["per_iteration"]
     lines = [",".join(["iteration", "node", "t", *per_iteration])]
@@ -209,7 +262,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         f"y0_mean: {_fmt(float(np.mean(sol.y.values[:, 0, 0])))}",
         f"k_terminal_mean: {_fmt(float(np.mean(sol.k.values[:, -1, 0])))}",
         f"seed: {cfg.monte_carlo.seed}",
-        f"config_hash: {cfg.config_hash()}",
+        f"config_hash: {digest}",
     ]
     (out / "diagnostics.txt").write_text("\n".join(text) + "\n")
     if not diag["converged"]:
@@ -221,10 +274,14 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 
 def cmd_field(cfg: ExperimentConfig) -> int:
-    problem, noise = _assemble(cfg)
     fc = cfg.field_eval
+    grid = build_grid(cfg.grid.T, cfg.grid.N)
+    try:  # before any noise is sampled
+        times = [grid.nodes[grid.index_of(t)] for t in fc.times]
+    except ValueError as e:
+        raise ConfigError(f"section 'field_eval': {e}") from None
+    problem, noise = _assemble(cfg)
     xs = np.linspace(fc.x_min, fc.x_max, fc.x_points)
-    times = [noise.grid.nodes[noise.grid.index_of(t)] for t in fc.times]
     try:
         rep = monotone_field_sequence(problem, fc.envelope_n, xs, times, noise, cfg.basis,
                                       cfg.solver)
@@ -232,7 +289,7 @@ def cmd_field(cfg: ExperimentConfig) -> int:
         print(f"unsupported problem: {e}", file=sys.stderr)
         return _EXIT_UNSUPPORTED
     out = _out_dir(cfg)
-    _write_provenance(cfg, out)
+    _write_provenance(cfg, "field", out)
 
     columns = [("u", rep.base)]
     for n in fc.envelope_n:
@@ -386,15 +443,16 @@ def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
     return _EXIT_OK if all(ok for _, ok, _ in checks) else 1
 
 
-def cmd_compare(cfg: ExperimentConfig, kind: str, amount: float) -> int:
+def cmd_compare(cfg: ExperimentConfig) -> int:
     problem, noise = _assemble(cfg)
     fwd = simulate_forward(problem, 0.0, problem.spot, noise)
-    other = shifted_problem(problem, kind, amount)
+    shift = cfg.comparison
+    other = shifted_problem(problem, shift.shift, shift.amount)
     rep = comparison_experiment(problem, other, fwd, noise, cfg.basis, cfg.solver)
     out = _out_dir(cfg)
-    _write_provenance(cfg, out)
+    _write_provenance(cfg, "compare", out)
     lines = [
-        f"shift: {kind} by {amount}",
+        f"shift: {shift.shift} by {shift.amount}",
         f"max_mean_positive_part: {_fmt(rep.max_mean_positive_part)}",
         f"violation_fraction: {_fmt(rep.violation_fraction)}",
         f"within_3_stderr: {rep.within()}",
@@ -424,16 +482,21 @@ _FLAGS = (
     ("--x-points", "field_eval", "x_points", dict(type=int)),
     ("--times", "field_eval", "times", dict(type=float, nargs="+")),
     ("--envelope-n", "field_eval", "envelope_n", dict(type=int, nargs="+")),
+    ("--shift", "comparison", "shift",
+     dict(type=str, help="data map to shift: terminal, obstacle or generator")),
+    ("--amount", "comparison", "amount", dict(type=float, help="shift amount")),
 )
 
-# subcommand -> (help, the sections whose flags it takes); the suites fix their
-# own problems and sizes, so verify takes only the output directory
-_EXPERIMENT = ("outputs", "problem", "grid", "monte_carlo", "basis")
+# subcommand -> (help, the config sections it reads, handler): it takes the
+# flags of those sections, and its config.json and config hash cover just them;
+# the suites fix their own problems and sizes, so verify reads only outputs
+_EXPERIMENT = ("outputs", "problem", "grid", "monte_carlo", "basis", "solver")
 _COMMANDS = {
-    "solve": ("run the backward solver", _EXPERIMENT),
-    "field": ("evaluate the u(t, x) field", _EXPERIMENT + ("field_eval",)),
-    "verify": ("run a verification suite", ("outputs",)),
-    "compare": ("ordered-pair comparison experiment", _EXPERIMENT),
+    "solve": ("run the backward solver", _EXPERIMENT, cmd_solve),
+    "field": ("evaluate the u(t, x) field", _EXPERIMENT + ("field_eval",), cmd_field),
+    "verify": ("run a verification suite", ("outputs",), cmd_verify),
+    "compare": ("ordered-pair comparison experiment", _EXPERIMENT + ("comparison",),
+                cmd_compare),
 }
 
 
@@ -443,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                                  "solver and verification lab")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    for command, (text, sections) in _COMMANDS.items():
+    for command, (text, sections, _) in _COMMANDS.items():
         p = commands[command] = sub.add_parser(command, help=text)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         for flag, section, _, options in _FLAGS:
@@ -451,9 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, default=None, **options)
     commands["verify"].add_argument("suite", type=str,
                                     help=f"one of: {', '.join(sorted(_SUITES))}")
-    commands["compare"].add_argument("--shift", type=str, default="terminal",
-                                     choices=("terminal", "obstacle", "generator"))
-    commands["compare"].add_argument("--amount", type=float, default=1.0)
     return parser
 
 
@@ -487,21 +547,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "field":
-            return cmd_field(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
-        if args.command == "compare":
-            return cmd_compare(cfg, args.shift, args.amount)
+        handler = _COMMANDS[args.command][2]
+        return handler(cfg, args.suite) if args.command == "verify" else handler(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return _EXIT_CONFIG
     except ValueError as e:
         print(f"invalid arguments: {e}", file=sys.stderr)
         return _EXIT_CONFIG
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

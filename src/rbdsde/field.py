@@ -200,13 +200,14 @@ def monotone_field_sequence(problem: ProblemSpec, n_values, space_points, times,
     base field, monotonicity counts and the bracket containment check.  An
     empty ``n_values`` gives the base field alone."""
     n_values = tuple(sorted(int(n) for n in n_values))
+    # every envelope is built, and an inadmissible n rejected, before any solve
+    envelopes = {n: (lipschitz_envelope(problem.generators, n, "lower"),
+                     lipschitz_envelope(problem.generators, n, "upper")) for n in n_values}
     base = evaluate_u_field(problem, space_points, times, noise, basis, cfg)
     lower: dict[int, FieldSample] = {}
     upper: dict[int, FieldSample] = {}
     gtol: dict[int, float] = {}
-    for n in n_values:
-        lo = lipschitz_envelope(problem.generators, n, "lower")
-        up = lipschitz_envelope(problem.generators, n, "upper")
+    for n, (lo, up) in envelopes.items():
         gtol[n] = lo.grid_tol
         lower[n] = evaluate_u_field(dataclasses.replace(problem, generators=lo.as_generator()),
                                     space_points, times, noise, basis, cfg)

@@ -83,7 +83,7 @@ def build_grid(T: float, N: int) -> TimeGrid:
     N : int
         Number of steps, at least 1.
     """
-    if T <= 0:
+    if not T > 0:  # NaN fails too
         raise ValueError(f"horizon must be positive, got {T}")
     if N < 1:
         raise ValueError(f"need at least one step, got {N}")

@@ -87,9 +87,9 @@ class RegressionBasis:
     becomes 0).
     """
 
-    kind: str = "polynomial"
-    degree: int = 3
-    bins: int = 8
+    kind: str = "local-polynomial"
+    degree: int = 1
+    bins: int = 16
 
     def __post_init__(self):
         if self.kind not in ("polynomial", "piecewise-constant", "local-polynomial"):

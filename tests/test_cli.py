@@ -6,13 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rbdsde.cli as cli
 from rbdsde.cli import (ExperimentConfig, GridConfig, MonteCarloConfig, ProblemConfig,
                         _build_parser, main)
 from rbdsde.field import evaluate_u_field
 from rbdsde.forward import simulate_forward
-from rbdsde.generators import builtin_problem, lipschitz_envelope
+from rbdsde.generators import builtin_problem, catalog_names, lipschitz_envelope
 from rbdsde.paths import build_grid, sample_noise
 from rbdsde.solver import RegressionBasis, SolverConfig, picard_solve
+
+
+SECTIONS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def run(args, monkeypatch, tmp_path, out="out"):
@@ -20,10 +24,16 @@ def run(args, monkeypatch, tmp_path, out="out"):
     return main(args + ["--out", str(tmp_path / out)])
 
 
+def write_config(tmp_path, data, name="cfg.json"):
+    f = tmp_path / name
+    f.write_text(json.dumps(data))
+    return str(f)
+
+
 class TestConfig:
     def test_round_trip_defaults(self):
         cfg = ExperimentConfig()
-        assert ExperimentConfig.parse(cfg.render()) == cfg
+        assert ExperimentConfig.parse(cfg.render(SECTIONS)) == cfg
 
     def test_round_trip_customized(self):
         cfg = ExperimentConfig(
@@ -33,9 +43,9 @@ class TestConfig:
             basis=RegressionBasis(kind="polynomial", degree=4, bins=0),
             solver=SolverConfig(picard_tol=1e-6, z_scheme="finite-increment"),
         )
-        again = ExperimentConfig.parse(cfg.render())
+        again = ExperimentConfig.parse(cfg.render(SECTIONS))
         assert again == cfg
-        assert again.config_hash() == cfg.config_hash()
+        assert again.config_hash(SECTIONS) == cfg.config_hash(SECTIONS)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(Exception):
@@ -96,6 +106,62 @@ class TestConfig:
         assert cfg.grid == GridConfig(T=1.0, N=8)
         assert cfg.solver == SolverConfig()
 
+    def test_int_for_float_renders_and_hashes_as_float(self):
+        a = ExperimentConfig.parse(json.dumps({"grid": {"T": 1}, "field_eval": {"times": [0]}}))
+        b = ExperimentConfig.parse(json.dumps({"grid": {"T": 1.0},
+                                               "field_eval": {"times": [0.0]}}))
+        assert a == b and type(a.grid.T) is float and type(a.field_eval.times[0]) is float
+        assert a.render(SECTIONS) == b.render(SECTIONS)
+        assert a.config_hash(SECTIONS) == b.config_hash(SECTIONS)
+
+    def test_lists_stand_for_tuples(self):
+        cfg = ExperimentConfig.parse(json.dumps({"problem": {"overrides": [["C", 2]]},
+                                                 "field_eval": {"envelope_n": [4, 8]}}))
+        assert cfg.problem.overrides == (("C", 2.0),)
+        assert cfg.field_eval.envelope_n == (4, 8)
+
+    @pytest.mark.parametrize("argv, data, message", [
+        (["solve"], {"grid": {"N": "8"}}, "section 'grid': N must be int"),
+        (["solve"], {"grid": {"N": True}}, "section 'grid': N must be int"),
+        (["solve"], {"problem": {"f_expr": 5}}, "section 'problem': f_expr must be str | None"),
+        (["field"], {"field_eval": {"times": 0.0}},
+         "section 'field_eval': times must be tuple[float, ...]"),
+        (["field"], {"field_eval": {"envelope_n": [1.5]}},
+         "section 'field_eval': envelope_n must be tuple[int, ...]"),
+        (["field"], {"field_eval": {"times": []}}, "section 'field_eval': times must not be empty"),
+        (["field"], {"field_eval": {"envelope_n": [4, 0]}},
+         "section 'field_eval': every envelope_n must be >= 1"),
+        (["field", "--x-points", "0"], None, "section 'field_eval': x_points must be >= 1"),
+        (["field", "--x-min", "1", "--x-max", "-1"], None,
+         "section 'field_eval': x_min must be <= x_max"),
+        (["verify", "doss"], {"grid": {"N": 0}}, "section 'grid': need at least one step"),
+        (["solve", "--T", "-1"], None, "section 'grid': horizon must be positive"),
+        (["solve", "--T", "nan"], None, "section 'grid': horizon must be positive"),
+        (["solve", "--paths", "0"], None, "section 'monte_carlo': paths must be >= 1"),
+        (["compare"], {"comparison": {"amount": -1}},
+         "section 'comparison': amount must be >= 0"),
+        (["compare", "--amount", "-1"], None, "section 'comparison': amount must be >= 0"),
+        (["compare", "--amount", "nan"], None, "section 'comparison': amount must be >= 0"),
+        (["field", "--x-min", "nan"], None, "section 'field_eval': x_min must be <= x_max"),
+        (["compare", "--shift", "nope"], None, "section 'comparison': unknown shift kind 'nope'"),
+    ])
+    def test_bad_value_rejected_at_load(self, argv, data, message, tmp_path, monkeypatch,
+                                        capsys):
+        if data is not None:
+            argv = argv + ["--config", write_config(tmp_path, data)]
+        assert run(argv, monkeypatch, tmp_path) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_field_times_checked_before_sampling(self, tmp_path, monkeypatch, capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("noise sampled")
+
+        monkeypatch.setattr(cli, "sample_noise", no_sampling)
+        assert run(["field", "--times", "0.3", "--N", "4"], monkeypatch, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "config error: section 'field_eval': t=0.3 is not a grid node" in err
+
     def test_threads_flag_removed(self):
         with pytest.raises(SystemExit) as exc:
             _build_parser().parse_args(["solve", "--threads", "4"])
@@ -138,8 +204,26 @@ class TestSolveCommand:
             assert t == repr(float(noise.grid.nodes[int(node)]))
             assert cells == [repr(float(col[int(it) - 1, int(node)])) for col in table.values()]
 
-    def test_unknown_problem(self, tmp_path, monkeypatch):
+    def test_unknown_problem(self, tmp_path, monkeypatch, capsys):
         assert run(["solve", "--problem", "nope"], monkeypatch, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f"config error: unknown catalog problem 'nope'; available: "
+            f"{', '.join(catalog_names())}\n")
+
+    def test_unread_section_leaves_the_record(self, tmp_path, monkeypatch):
+        # solve reads no field_eval section, so one in its file changes nothing it writes
+        base = {"problem": {"name": "lipschitz-linear"}, "grid": {"N": 8},
+                "monte_carlo": {"paths": 300, "seed": 2}}
+        plain = write_config(tmp_path, base, "plain.json")
+        extra = write_config(tmp_path, {**base, "field_eval": {"x_points": 9}}, "extra.json")
+        assert run(["solve", "--config", plain], monkeypatch, tmp_path, out="a") == 0
+        assert run(["solve", "--config", extra], monkeypatch, tmp_path, out="b") == 0
+        for name in ("run.csv", "diagnostics.txt", "provenance.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+        recorded = json.loads((tmp_path / "a" / "config.json").read_text())
+        assert sorted(recorded) == sorted(("outputs", "problem", "grid", "monte_carlo",
+                                           "basis", "solver"))
 
     def test_non_convergence_still_writes(self, tmp_path, monkeypatch):
         cfg = {"problem": {"name": "paper-1-4"}, "grid": {"T": 1.0, "N": 10},
@@ -324,6 +408,32 @@ class TestCompareCommand:
         assert code == 0
         assert "within_3_stderr: True" in (tmp_path / "out" / "compare.txt").read_text()
 
+    SMALL = ["--problem", "lipschitz-linear", "--N", "8", "--paths", "300", "--seed", "3"]
+
+    def test_shift_enters_the_hash(self, tmp_path, monkeypatch):
+        assert run(["compare", *self.SMALL, "--shift", "terminal", "--amount", "1.0"],
+                   monkeypatch, tmp_path, out="a") == 0
+        assert run(["compare", *self.SMALL, "--shift", "obstacle", "--amount", "0.5"],
+                   monkeypatch, tmp_path, out="b") == 0
+        hashes = [json.loads((tmp_path / d / "provenance.json").read_text())["config_hash"]
+                  for d in ("a", "b")]
+        assert hashes[0] != hashes[1]
+        config = json.loads((tmp_path / "b" / "config.json").read_text())
+        assert config["comparison"] == {"shift": "obstacle", "amount": 0.5}
+        assert "field_eval" not in config
+        report = (tmp_path / "b" / "compare.txt").read_text()
+        assert report.startswith("shift: obstacle by 0.5\n")
+
+    def test_comparison_section_matches_flags(self, tmp_path, monkeypatch):
+        f = write_config(tmp_path, {"comparison": {"shift": "obstacle", "amount": 1}})
+        assert run(["compare", *self.SMALL, "--config", f], monkeypatch, tmp_path,
+                   out="a") == 0
+        assert run(["compare", *self.SMALL, "--shift", "obstacle", "--amount", "1"],
+                   monkeypatch, tmp_path, out="b") == 0
+        for name in ("compare.txt", "provenance.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+
 
 class TestEnvOverride:
     def test_rbdsde_out_wins(self, tmp_path, monkeypatch):
@@ -341,6 +451,14 @@ class TestEnvOverride:
                     "--seed", "1"], monkeypatch, tmp_path, out="flag_dir") == 0
         config = json.loads((tmp_path / "env_dir" / "config.json").read_text())
         assert config["outputs"]["directory"] == env_dir
+
+
+def test_readme_example_config_loads():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Example config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    cfg = ExperimentConfig.parse(block)
+    assert cfg.problem.overrides == (("C", 2.0), ("alpha", 0.5))
+    assert cfg.outputs.directory == "runs/exp1"
 
 
 def test_readme_command_lines_parse():

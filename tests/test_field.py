@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import rbdsde.field as field_module
 from rbdsde.field import (StepSizeError, UnsupportedProblemError, evaluate_u_field,
                           monotone_field_sequence, solve_doss_eta)
 from rbdsde.forward import simulate_forward
@@ -166,3 +167,15 @@ class TestMonotoneFields:
         assert rep.upper_monotone_violations == 0
         assert rep.widths_non_increasing
         assert rep.base_within_bracket
+
+    def test_inadmissible_n_rejected_before_any_field(self, monkeypatch):
+        # envelopes draw no noise, so each is built before the first solve
+        calls = []
+        solve = field_module.evaluate_u_field
+        monkeypatch.setattr(field_module, "evaluate_u_field",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
+        p = builtin_problem("lipschitz-linear", a=2.5)  # admissible from n = 3
+        noise = sample_noise(build_grid(1.0, 4), 50, seed=43)
+        with pytest.raises(ValueError, match="n=2 is below the admissible minimum 3"):
+            monotone_field_sequence(p, [4, 2], [0.0], [0.0], noise, BASIS, CFG)
+        assert calls == []
