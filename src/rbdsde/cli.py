@@ -10,6 +10,7 @@ over the file, and the RBDSDE_OUT environment variable finally overrides the
 output directory, each laid over the config by ``ExperimentConfig.merged``.
 ``_COMMANDS`` names the sections each subcommand reads: it takes their flags,
 and its ``config.json`` and config hash (all but ``outputs``) cover just them.
+``_FAILURES`` maps each error a command may raise to its exit code.
 All outputs are byte-reproducible from (config, seed).
 """
 
@@ -30,12 +31,12 @@ import numpy as np
 from . import __version__
 from .field import UnsupportedProblemError, monotone_field_sequence, solve_doss_eta
 from .forward import flow_continuity_test, simulate_forward
-from .generators import (builtin_problem, catalog_names, envelope_property_check,
-                         expression_generator, shifted_problem)
+from .generators import (EnvelopeRangeError, builtin_problem, catalog_names,
+                         envelope_property_check, expression_generator, shifted_problem)
 from .modulus import builtin_condition_a_fixtures, condition_a_uniqueness_check
 from .paths import build_grid, empirical_norm, sample_noise
-from .solver import (RegressionBasis, SolverConfig, comparison_experiment,
-                     obstacle_values, picard_solve)
+from .solver import (GeneratorEvaluationError, RegressionBasis, SingularRegressionError,
+                     SolverConfig, comparison_experiment, obstacle_values, picard_solve)
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -43,6 +44,8 @@ _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_NOCONV = 3
 _EXIT_UNSUPPORTED = 4
+_EXIT_NUMERIC = 5
+_EXIT_ENVELOPE = 6
 
 
 class ConfigError(ValueError):
@@ -282,12 +285,8 @@ def cmd_field(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"section 'field_eval': {e}") from None
     problem, noise = _assemble(cfg)
     xs = np.linspace(fc.x_min, fc.x_max, fc.x_points)
-    try:
-        rep = monotone_field_sequence(problem, fc.envelope_n, xs, times, noise, cfg.basis,
-                                      cfg.solver)
-    except UnsupportedProblemError as e:
-        print(f"unsupported problem: {e}", file=sys.stderr)
-        return _EXIT_UNSUPPORTED
+    rep = monotone_field_sequence(problem, fc.envelope_n, xs, times, noise, cfg.basis,
+                                  cfg.solver)
     out = _out_dir(cfg)
     _write_provenance(cfg, "field", out)
 
@@ -393,7 +392,7 @@ def _suite_doss():
     gen_c = dataclasses.replace(problem.generators,
                                 g=lambda t, x, y, z: np.full((len(y), 1), 0.7))
     dc = solve_doss_eta(gen_c, grid, [0.0], ys, noise.b_increments)
-    bpath = np.concatenate([[0.0], np.cumsum(noise.b_increments[:, 0])])
+    bpath = noise.b_path()[:, 0]
     expect = ys[None, None, :] + 0.7 * (bpath[-1] - bpath)[:, None, None]
     err_c = float(np.max(np.abs(dc.eta - expect)))
     return [
@@ -542,6 +541,18 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+# exception -> (exit code, message prefix); the first row that matches wins,
+# so each ValueError subclass comes before ValueError
+_FAILURES = {
+    ConfigError: (_EXIT_CONFIG, "config error"),
+    UnsupportedProblemError: (_EXIT_UNSUPPORTED, "unsupported problem"),
+    GeneratorEvaluationError: (_EXIT_NUMERIC, "numerical failure"),
+    SingularRegressionError: (_EXIT_NUMERIC, "numerical failure"),
+    EnvelopeRangeError: (_EXIT_ENVELOPE, "envelope range exceeded"),
+    ValueError: (_EXIT_CONFIG, "invalid arguments"),
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -549,12 +560,10 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         handler = _COMMANDS[args.command][2]
         return handler(cfg, args.suite) if args.command == "verify" else handler(cfg)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except ValueError as e:
-        print(f"invalid arguments: {e}", file=sys.stderr)
-        return _EXIT_CONFIG
+    except tuple(_FAILURES) as e:
+        code, prefix = next(row for cls, row in _FAILURES.items() if isinstance(e, cls))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -173,30 +173,7 @@ def _kappa_loglog(delta: float) -> float:
 
 
 def eval_modulus(spec: ModulusSpec, u):
-    """Evaluate rho(u); ``u`` may be a scalar or an array, all entries >= 0.
-
-    A float ``u`` (``np.float64`` included) takes a scalar path that skips
-    the array set-up and returns the same float as the array path, bit for
-    bit: it uses the same ``np.log`` and ``np.interp`` calls, not
-    ``math.log``.
-    """
-    if isinstance(u, float):
-        if u < 0:
-            raise ValueError("modulus argument u must be non-negative")
-        if spec.variant == "lipschitz":
-            return float(spec.c_rho * u)
-        if u > spec._switch:
-            return float(spec._head + spec._kappa * (u - spec._switch))
-        if spec.variant == "tabulated":
-            return float(np.interp(u, spec._xs, spec._ys))
-        if u == 0.0:
-            return 0.0
-        uc = max(u, 1e-300)
-        if spec.variant == "log":
-            return float(uc * np.log(1.0 / uc))
-        big_l = np.log(1.0 / uc)
-        return float(uc * big_l * np.log(big_l))
-
+    """Evaluate rho(u) for ``u`` >= 0: a float for a scalar ``u``, else an array."""
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0):
         raise ValueError("modulus argument u must be non-negative")
@@ -314,9 +291,10 @@ def condition_a_uniqueness_check(spec: ModulusSpec, M: float, T: float,
         tail increments stays at or above 0.6 (the ratio form is what
         separates logarithmic divergence from convergence at double
         precision).
-    (b) Shooting: integrating u' = -M rho(u) backward from u(T) = eps, the
-        value u(0) must decrease along the ladder and shrink overall to at
-        most half its value at the first rung.
+    (b) Shooting: integrating u' = -M rho(u) backward from u(T) = eps, all
+        rungs as one vector ODE, the value u(0) must decrease along the
+        ladder and shrink overall to at most half its value at the first
+        rung.
 
     Both pass -> "passes"; both fail -> "fails"; disagreement or a modulus
     that vanishes away from 0 -> "inconclusive".
@@ -348,19 +326,16 @@ def condition_a_uniqueness_check(spec: ModulusSpec, M: float, T: float,
                            or (len(tail_ratios) > 0 and float(np.mean(tail_ratios)) >= 0.6))
 
     def rhs(t, u):
-        return [-M * eval_modulus(spec, max(u[0], 0.0))]
+        return -M * eval_modulus(spec, np.maximum(u, 0.0))
 
-    shoots = []
-    for e in eps:
-        sol = solve_ivp(rhs, (T, 0.0), [e], method="RK45", rtol=1e-9, atol=1e-30)
-        if not sol.success:
-            return UniquenessReport(verdict="inconclusive", osgood_diverges=osgood,
-                                    shooting_vanishes=False, integral_values=integrals,
-                                    tail_rates=tail_rates, tail_ratios=tail_ratios,
-                                    shoot_values=np.array(shoots),
-                                    reason=f"shooting integration failed at eps={e}")
-        shoots.append(float(sol.y[0, -1]))
-    shoots = np.array(shoots)
+    sol = solve_ivp(rhs, (T, 0.0), eps, method="RK45", rtol=1e-9, atol=1e-30)
+    if not sol.success:
+        return UniquenessReport(verdict="inconclusive", osgood_diverges=osgood,
+                                shooting_vanishes=False, integral_values=integrals,
+                                tail_rates=tail_rates, tail_ratios=tail_ratios,
+                                shoot_values=np.array([]),
+                                reason=f"shooting integration failed: {sol.message}")
+    shoots = sol.y[:, -1]
     decreasing = bool(np.all(shoots[1:] <= shoots[:-1] * (1.0 + 1e-9)))
     shooting = decreasing and shoots[0] > 0 and shoots[-1] <= 0.5 * shoots[0]
 

@@ -4,13 +4,16 @@ In traced mode ``bench/run.py`` requires that ``Tracer.install`` finds every
 ``(module, attribute)`` in ``tracing.TRACED``, and that every traced
 ``solve_frozen_rbdsde`` call is counted in the iterations ``picard_solve``
 returns.  Renaming a traced function, or running a sweep outside
-``picard_solve``'s count, fails the benchmark; this test fails first.
+``picard_solve``'s count, fails the benchmark; these tests fail first.  The
+``analytic`` workload reads its shooting metrics from the traced
+``modulus.solve_ivp``, which the uniqueness check calls once.
 """
 
 import sys
 from pathlib import Path
 
 import rbdsde.cli as cli
+import rbdsde.modulus as modulus
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
@@ -33,3 +36,20 @@ def test_traced_field_keeps_the_benchmark_contract(tmp_path, monkeypatch):
     assert layers["solver.sweeps"] > 0
     assert layers["solver.sweeps"] == layers["_iterations_returned"]
     assert layers["field.points"] == 4
+
+
+def test_traced_shooting_is_one_integration():
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        begin = tracer.mark()
+        spec, expected = modulus.builtin_condition_a_fixtures()["lipschitz"]
+        rep = modulus.condition_a_uniqueness_check(spec, M=1.0, T=1.0,
+                                                   eps_ladder=[1e-2, 1e-3, 1e-4, 1e-5])
+        end = tracer.mark()
+        layers = tracer.layer_metrics(begin, end)
+    finally:
+        tracer.uninstall()
+    assert rep.verdict == expected
+    assert tracer.names[begin[0]:end[0]].count("modulus.solve_ivp") == 1
+    assert layers["modulus.shooting_rhs_evals"] > 0

@@ -175,6 +175,37 @@ class TestConfig:
         assert exc.value.code == 2
 
 
+class TestFailureTable:
+    # one case per row of cli._FAILURES, in its order
+    CASES = [
+        (["solve", "--problem", "nope"], None, 2, "config error: unknown catalog problem"),
+        (["field", "--problem", "paper-1-4", "--N", "8", "--paths", "200"], None, 4,
+         "unsupported problem: the u(t, x) field requires g independent of z"),
+        (["solve", "--N", "2", "--paths", "50"], {"problem": {"f_expr": "1/y"}}, 5,
+         "numerical failure: non-finite generator value at node 1"),
+        (["solve", "--N", "4", "--paths", "2000"], {"solver": {"ridge": 0}}, 5,
+         "numerical failure: rank-deficient normal equations with ridge = 0 at node 0, bin "),
+        (["field", "--problem", "american-put-like", "--T", "0.5", "--N", "4",
+          "--paths", "400", "--x-min", "10", "--x-max", "20", "--x-points", "1",
+          "--envelope-n", "4"], None, 6,
+         "envelope range exceeded: query y outside the envelope grid"),
+        (["solve"], {"problem": {"f_expr": "exp(y, k=z)"}}, 2,
+         "invalid arguments: call 'exp' with keyword arguments not allowed"),
+    ]
+
+    def test_one_case_per_row(self):
+        assert len(self.CASES) == len(cli._FAILURES)
+
+    @pytest.mark.parametrize("argv,data,code,message", CASES)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1/y at y = 0
+    def test_exit_code_and_message(self, argv, data, code, message, tmp_path, monkeypatch,
+                                   capsys):
+        if data is not None:
+            argv = argv + ["--config", write_config(tmp_path, data)]
+        assert run(argv, monkeypatch, tmp_path) == code
+        assert capsys.readouterr().err.startswith(message)
+
+
 class TestSolveCommand:
     def test_happy_path(self, tmp_path, monkeypatch):
         code = run(["solve", "--problem", "lipschitz-linear", "--T", "1", "--N", "20",

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rbdsde.modulus import (ModulusSpec, NonTerminationError, builtin_condition_
                             log_modulus, majorant_sequence,
                             moment_bound_constant, osgood_integral,
                             tabulated_modulus, verify_modulus_axioms)
+import rbdsde.modulus as modulus
 from rbdsde.paths import build_grid
 
 LADDER = [10.0 ** (-k) for k in range(2, 13)]
@@ -51,7 +53,7 @@ class TestEval:
             eval_modulus(SPECS[name], u)
 
     @pytest.mark.parametrize("name", sorted(SPECS))
-    def test_scalar_path_matches_array_path_bitwise(self, name):
+    def test_float_argument_matches_array_bitwise(self, name):
         spec = SPECS[name]
         if spec.table is not None:
             nodes = [u for u, _ in spec.table]  # exactly on the table nodes
@@ -141,6 +143,36 @@ class TestConditionA:
         spec = tabulated_modulus(list(zip(us, np.sqrt(us))))
         # closed form 2(1 - sqrt(eps)) stays below 2
         assert osgood_integral(spec, 1e-10) == pytest.approx(2.0, rel=5e-3)
+
+    def test_one_shooting_integration_per_check(self, monkeypatch):
+        real, calls = modulus.solve_ivp, []
+        monkeypatch.setattr(modulus, "solve_ivp",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        for name, (spec, _) in builtin_condition_a_fixtures().items():
+            calls.clear()
+            condition_a_uniqueness_check(spec, M=1.0, T=1.0, eps_ladder=LADDER)
+            assert len(calls) == 1, name
+
+    def test_shoots_match_closed_forms(self):
+        # rho = c u shoots eps to eps e^{cMT}; rho = sqrt(u) to (sqrt(eps) + MT/2)^2
+        eps = np.array(LADDER)
+        fixtures = builtin_condition_a_fixtures()
+        lip = condition_a_uniqueness_check(fixtures["lipschitz"][0], M=1.0, T=1.0,
+                                           eps_ladder=LADDER)
+        np.testing.assert_allclose(lip.shoot_values, eps * math.e, rtol=1e-9, atol=0.0)
+        sqrt = condition_a_uniqueness_check(fixtures["sqrt"][0], M=1.0, T=1.0,
+                                            eps_ladder=LADDER)
+        np.testing.assert_allclose(sqrt.shoot_values, (np.sqrt(eps) + 0.5) ** 2,
+                                   rtol=0.0, atol=1e-3)
+
+    def test_failed_shooting_inconclusive(self, monkeypatch):
+        failed = types.SimpleNamespace(success=False, message="step size too small")
+        monkeypatch.setattr(modulus, "solve_ivp", lambda *args, **kwargs: failed)
+        rep = condition_a_uniqueness_check(lipschitz_modulus(), M=1.0, T=1.0,
+                                           eps_ladder=LADDER)
+        assert rep.verdict == "inconclusive"
+        assert rep.shoot_values.size == 0
+        assert "step size too small" in rep.reason
 
     def test_vanishing_modulus_inconclusive(self):
         spec = tabulated_modulus([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)])
