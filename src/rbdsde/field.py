@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import GeneratorSpec, ProblemSpec, lipschitz_envelope
+from .generators import EnvelopeRangeError, GeneratorSpec, ProblemSpec, lipschitz_envelope
 from .forward import simulate_forward
 from .paths import NoiseEnsemble, TimeGrid
 from .solver import RegressionBasis, SolverConfig, picard_solve
@@ -62,7 +62,9 @@ def evaluate_u_field(problem: ProblemSpec, space_points, times,
     """Evaluate u(t, x) = Y_t^{t,x} on the requested space-time grid.
 
     ``times`` must be grid nodes; z-dependent g is rejected (the field link
-    holds only for z-free backward-noise coefficients).
+    holds only for z-free backward-noise coefficients).  An envelope
+    generator queried outside its u grid raises EnvelopeRangeError naming
+    the field point.
     """
     if problem.generators.g_depends_on_z:
         raise UnsupportedProblemError(
@@ -86,7 +88,10 @@ def evaluate_u_field(problem: ProblemSpec, space_points, times,
                 stderr[a, j] = 0.0
                 continue
             fwd = simulate_forward(problem, t, x, noise)
-            sol, _, _ = picard_solve(problem, fwd, noise, basis, cfg, start_index=idx)
+            try:
+                sol, _, _ = picard_solve(problem, fwd, noise, basis, cfg, start_index=idx)
+            except EnvelopeRangeError as e:
+                raise EnvelopeRangeError(f"{e} at field point t={t}, x0={float(x[0])}") from e
             values[a, j] = float(np.mean(sol.y.values[:, idx, 0]))
             stderr[a, j] = sol.diagnostics["value_stderr"]
             if not sol.diagnostics["converged"]:

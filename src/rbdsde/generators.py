@@ -441,7 +441,8 @@ class EnvelopeApproximant:
         u = self.u_nodes
         if np.any(y < u[0]) or np.any(y > u[-1]):
             raise EnvelopeRangeError(
-                f"query y outside the envelope grid [{u[0]}, {u[-1]}]")
+                f"query y outside the envelope grid [{u[0]}, {u[-1]}]: "
+                f"smallest y {float(np.min(y)):.6g}, largest y {float(np.max(y)):.6g}")
         if self._left_min is not None:
             core, arg = self._eval_profile(y)
             vals = self.sign * core + self.base.f_rest(t, x, z)
@@ -703,7 +704,8 @@ def compile_expression(src: str):
     callable; supports + - * / and powers plus exp, abs, sqrt, max, min.
 
     Only one state dimension is supported: x and z are exposed as scalars
-    per path.
+    per path.  Evaluation raises no floating-point warnings: a non-finite
+    value is reported by whoever checks it, with its node.
     """
     used = set()
     evaluate = _compile(ast.parse(src, mode="eval").body, {"t", "x", "y", "z"}, used)
@@ -712,7 +714,8 @@ def compile_expression(src: str):
         if x.shape[1] != 1:
             raise ValueError("expression generators support dim=1 only")
         env = {"t": float(t), "x": x[:, 0], "y": np.asarray(y, dtype=float), "z": z[:, 0]}
-        val = np.asarray(evaluate(env), dtype=float)
+        with np.errstate(all="ignore"):
+            val = np.asarray(evaluate(env), dtype=float)
         return np.broadcast_to(val, np.shape(y)).astype(float)
 
     fn.uses_z = "z" in used

@@ -67,7 +67,8 @@ class SingularRegressionError(RuntimeError):
 
 
 class GeneratorEvaluationError(RuntimeError):
-    """A generator produced a non-finite value during the backward sweep."""
+    """A generator, the terminal map or the obstacle produced a non-finite
+    value; the message names the node."""
 
 
 class ComparisonSetupError(ValueError):
@@ -249,13 +250,15 @@ def _check_finite(arr: np.ndarray, what: str, node: int):
 
 def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble,
                         noise: NoiseEnsemble, plan: RegressionPlan,
-                        cfg: SolverConfig, start_index: int = 0) -> SolutionTriple:
+                        cfg: SolverConfig, start_index: int = 0, *,
+                        obstacle: np.ndarray | None) -> SolutionTriple:
     """One backward sweep with the generator y-arguments frozen at ``frozen_y``.
 
-    ``frozen_y`` is an (M, N+1) array on the same grid, and ``plan`` a
-    regression plan of ``forward``'s paths.  Values before ``start_index``
-    replicate the start-node solution (the standard extension below the
-    start time).
+    ``frozen_y`` is an (M, N+1) array on the same grid, ``plan`` a
+    regression plan of ``forward``'s paths, and ``obstacle`` the (M, N+1)
+    obstacle process of ``obstacle_values`` (None without an obstacle).
+    Values before ``start_index`` replicate the start-node solution (the
+    standard extension below the start time).
     """
     grid = noise.grid
     n_steps = grid.num_steps
@@ -264,6 +267,8 @@ def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble
     frozen = np.asarray(frozen_y, dtype=float)
     if frozen.shape != (m, n_steps + 1):
         raise ValueError("frozen_y must have shape (num_paths, N+1)")
+    if obstacle is not None and obstacle.shape != (m, n_steps + 1):
+        raise ValueError("obstacle must have shape (num_paths, N+1)")
     if noise.ell != gen.ell:
         raise ValueError("noise B dimension does not match the generator")
     xs = forward.paths.values
@@ -299,12 +304,8 @@ def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble
         _check_finite(target, "generator value", i)
 
         yhat = plan.fit(i, target)
-        if problem.obstacle is not None:
-            s_i = problem.obstacle(float(nodes[i]), state)
-            y[:, i] = np.maximum(yhat, s_i)
-            push[:, i] = y[:, i] - yhat
-        else:
-            y[:, i] = yhat
+        y[:, i] = yhat if obstacle is None else np.maximum(yhat, obstacle[:, i])
+        push[:, i] = y[:, i] - yhat
         rollout += f_i * dt[i] + g_i @ db[i] + push[:, i]
 
     value_stderr = float(np.std(rollout) / math.sqrt(m))
@@ -322,13 +323,21 @@ def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble
 
 
 def obstacle_values(problem: ProblemSpec, forward: ForwardEnsemble) -> np.ndarray | None:
-    """Obstacle process S_i = h(t_i, X_i) along the forward paths, or None."""
+    """Obstacle process S_i = h(t_i, X_i) along the forward paths, or None.
+
+    The only evaluation of h along the paths: every sweep of a Picard solve
+    reflects against this array.  A non-finite value raises
+    GeneratorEvaluationError naming its node.
+    """
     if problem.obstacle is None:
         return None
     xs = forward.paths.values
     nodes = forward.paths.grid.nodes
-    return np.column_stack([problem.obstacle(float(nodes[i]), xs[:, i])
-                            for i in range(len(nodes))])
+    columns = []
+    for i in range(len(nodes)):
+        columns.append(problem.obstacle(float(nodes[i]), xs[:, i]))
+        _check_finite(columns[-1], "obstacle value", i)
+    return np.column_stack(columns)
 
 
 def _flatness_partial(sol: SolutionTriple, obstacle: np.ndarray | None) -> np.ndarray:
@@ -377,7 +386,7 @@ def picard_solve(problem: ProblemSpec, forward: ForwardEnsemble, noise: NoiseEns
     iterations = 0
     for iterations in range(1, cfg.picard_max_iter + 1):
         sol = solve_frozen_rbdsde(problem, prev, forward, noise, plan, cfg,
-                                  start_index=start_index)
+                                  start_index=start_index, obstacle=obstacle)
         ycur = sol.y.values[:, :, 0]
         profile = np.mean((ycur - prev) ** 2, axis=0)
         rows.append({

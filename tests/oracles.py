@@ -110,6 +110,26 @@ def implicit_linear_reference(problem, forward, noise, degree, a, b_coef):
     return y
 
 
+def linear_doubly_reference(a, b, c, grid, b_increments):
+    """Discrete limit Y_0 of the scheme for f = a y + b z, g = c y, terminal
+    X_T on a Brownian forward from 0, without an obstacle.
+
+    With Y_i = alpha_i X_i + beta_i the regression is exact: Z_i = alpha_{i+1}
+    and the implicit y term divides by 1 - a dt, so
+    alpha_i = (1 + c dB_i) alpha_{i+1} / (1 - a dt) and
+    beta_i = ((1 + c dB_i) beta_{i+1} + b alpha_{i+1} dt) / (1 - a dt),
+    from alpha_N = 1, beta_N = 0.  Returns beta_0 = Y_0.  As the grid is
+    refined it tends to b T e^{aT} exp(c B_T - c^2 T / 2).
+    """
+    db = np.ravel(b_increments)
+    alpha, beta = 1.0, 0.0
+    for i in range(grid.num_steps - 1, -1, -1):
+        dt = grid.dt[i]
+        alpha, beta = ((1.0 + c * db[i]) * alpha / (1.0 - a * dt),
+                       ((1.0 + c * db[i]) * beta + b * alpha * dt) / (1.0 - a * dt))
+    return float(beta)
+
+
 def brute_force_envelope(f, t, x, y, z, u_nodes, n, direction):
     """Point-by-point scan of the envelope over the full u grid."""
     out = np.empty(len(y))

@@ -5,7 +5,9 @@ In traced mode ``bench/run.py`` requires that ``Tracer.install`` finds every
 ``solve_frozen_rbdsde`` call is counted in the iterations ``picard_solve``
 returns.  Renaming a traced function, or running a sweep outside
 ``picard_solve``'s count, fails the benchmark; these tests fail first.  The
-``analytic`` workload reads its shooting metrics from the traced
+tracer counts path steps from a sweep's fourth positional argument (the
+noise) and its seventh or ``start_index``; an array there breaks the count.
+The ``analytic`` workload reads its shooting metrics from the traced
 ``modulus.solve_ivp``, which the uniqueness check calls once.
 """
 
@@ -14,6 +16,10 @@ from pathlib import Path
 
 import rbdsde.cli as cli
 import rbdsde.modulus as modulus
+import rbdsde.solver as solver
+from rbdsde.forward import simulate_forward
+from rbdsde.generators import builtin_problem
+from rbdsde.paths import build_grid, sample_noise
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
@@ -53,3 +59,21 @@ def test_traced_shooting_is_one_integration():
     assert rep.verdict == expected
     assert tracer.names[begin[0]:end[0]].count("modulus.solve_ivp") == 1
     assert layers["modulus.shooting_rhs_evals"] > 0
+
+
+def test_traced_sweeps_count_path_steps_from_the_start_node():
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        s = 3
+        problem = builtin_problem("lipschitz-linear")
+        noise = sample_noise(build_grid(problem.horizon, 8), 400, seed=1)
+        fwd = simulate_forward(problem, float(noise.grid.nodes[s]), problem.spot, noise)
+        _, iterations, _ = solver.picard_solve(problem, fwd, noise, solver.RegressionBasis(bins=4),
+                                               solver.SolverConfig(), start_index=s)
+    finally:
+        tracer.uninstall()
+    steps = tracer.counts["solver.path_steps"]
+    assert iterations >= 2
+    assert isinstance(steps, int)
+    assert steps == iterations * noise.num_paths * (noise.grid.num_steps - s)

@@ -193,17 +193,33 @@ class TestFailureTable:
          "invalid arguments: call 'exp' with keyword arguments not allowed"),
     ]
 
+    # further sources of a row's error, each named in its message
+    MORE_CASES = [
+        (["solve", "--N", "4", "--paths", "200"],
+         {"problem": {"overrides": [["obstacle_gap", float("nan")]]}}, 5,
+         "numerical failure: non-finite obstacle value at node 0"),
+    ]
+
     def test_one_case_per_row(self):
         assert len(self.CASES) == len(cli._FAILURES)
 
-    @pytest.mark.parametrize("argv,data,code,message", CASES)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1/y at y = 0
+    @pytest.mark.parametrize("argv,data,code,message", CASES + MORE_CASES)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the message is the only report
     def test_exit_code_and_message(self, argv, data, code, message, tmp_path, monkeypatch,
                                    capsys):
         if data is not None:
             argv = argv + ["--config", write_config(tmp_path, data)]
         assert run(argv, monkeypatch, tmp_path) == code
         assert capsys.readouterr().err.startswith(message)
+
+    def test_envelope_range_names_queries_and_point(self, tmp_path, monkeypatch, capsys):
+        argv = ["field", "--problem", "american-put-like", "--T", "0.5", "--N", "4",
+                "--paths", "400", "--x-min", "10", "--x-max", "20", "--x-points", "1",
+                "--envelope-n", "4"]
+        assert run(argv, monkeypatch, tmp_path) == 6
+        err = capsys.readouterr().err
+        assert "grid [-50.0, 50.0]: smallest y " in err and ", largest y " in err
+        assert err.rstrip().endswith("at field point t=0.0, x0=10.0")
 
 
 class TestSolveCommand:

@@ -55,6 +55,20 @@ class TestCatalog:
             rep = check_h4_witness(p.generators, p.horizon)
             assert rep.all_pass, f"{name}: {rep}"
 
+    @pytest.mark.parametrize("name,overrides", [
+        *[(name, {}) for name in catalog_names()],
+        ("paper-1-4", {"g_z_free": True}),
+        ("lipschitz-linear", {"a": 0.7, "b_coef": -0.3}),
+    ])
+    def test_f_is_the_sum_of_its_parts(self, name, overrides, rng):
+        # the envelopes use the parts in closed form, the sweep uses f
+        gen = builtin_problem(name, **overrides).generators
+        x = rng.normal(0.0, 3.0, size=(1000, 1))
+        y = rng.normal(0.0, 3.0, size=1000)
+        z = rng.normal(0.0, 3.0, size=(1000, 1))
+        t = float(rng.uniform(0.0, 1.0))
+        assert np.array_equal(gen.f(t, x, y, z), gen.f_y_profile(y) + gen.f_rest(t, x, z))
+
     def test_paper_entry_z_free_variant(self):
         p = builtin_problem("paper-1-4", g_z_free=True)
         assert not p.generators.g_depends_on_z
@@ -158,8 +172,9 @@ class TestEnvelope:
     def test_range_error(self):
         p = builtin_problem("paper-1-4")
         env = lipschitz_envelope(p.generators, 2, "lower", u_range=2.0, u_step=1e-2)
-        with pytest.raises(EnvelopeRangeError):
-            env.evaluate(0.0, np.zeros((1, 1)), np.array([3.0]), np.zeros((1, 1)))
+        with pytest.raises(EnvelopeRangeError,
+                           match=r"grid \[-2\.0, 2\.0\]: smallest y -1, largest y 3$"):
+            env.evaluate(0.0, np.zeros((2, 1)), np.array([3.0, -1.0]), np.zeros((2, 1)))
 
     def test_n_below_minimum(self):
         p = builtin_problem("paper-1-4")

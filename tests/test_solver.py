@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import design_matrix, implicit_linear_reference, plain_bsde_reference
+from oracles import (design_matrix, implicit_linear_reference, linear_doubly_reference,
+                     plain_bsde_reference)
 from rbdsde.forward import simulate_forward
-from rbdsde.generators import GeneratorSpec, builtin_problem, shifted_problem
+from rbdsde.generators import (GeneratorSpec, builtin_problem, expression_generator,
+                               shifted_problem)
 from rbdsde.modulus import lipschitz_modulus, majorant_sequence
-from rbdsde.paths import ProcessSample, build_grid, sample_noise
+from rbdsde.paths import ProcessSample, build_grid, coarsen_noise, sample_noise
 import rbdsde.solver
 from rbdsde.solver import (ComparisonSetupError, GeneratorEvaluationError,
                            MajorantGapReport, RegressionBasis, RegressionPlan,
@@ -128,9 +130,12 @@ class TestRegressionPlan:
         frozen = np.zeros((small_noise.num_paths, small_noise.grid.num_steps + 1))
         cfg = SolverConfig()
         used = sweep_plan(fwd)
-        solve_frozen_rbdsde(p, frozen, fwd, small_noise, used, cfg, start_index=7)
-        ref = solve_frozen_rbdsde(p, frozen, fwd, small_noise, sweep_plan(fwd), cfg)
-        sol = solve_frozen_rbdsde(p, frozen, fwd, small_noise, used, cfg)
+        obstacle = obstacle_values(p, fwd)
+        solve_frozen_rbdsde(p, frozen, fwd, small_noise, used, cfg, start_index=7,
+                            obstacle=obstacle)
+        ref = solve_frozen_rbdsde(p, frozen, fwd, small_noise, sweep_plan(fwd), cfg,
+                                  obstacle=obstacle)
+        sol = solve_frozen_rbdsde(p, frozen, fwd, small_noise, used, cfg, obstacle=obstacle)
         for a, b in ((sol.y, ref.y), (sol.z, ref.z), (sol.k, ref.k)):
             assert np.array_equal(a.values, b.values)
 
@@ -207,7 +212,7 @@ class TestBackwardScheme:
         cfg = SolverConfig(picard_tol=1e-6)
         sol, _, _ = picard_solve(p, fwd, small_noise, BASIS, cfg)
         again = solve_frozen_rbdsde(p, sol.y.values[:, :, 0], fwd, small_noise,
-                                    sweep_plan(fwd), cfg)
+                                    sweep_plan(fwd), cfg, obstacle=obstacle_values(p, fwd))
         gap = float(np.max(np.mean((again.y.values - sol.y.values) ** 2, axis=0)))
         assert gap < cfg.picard_tol
 
@@ -254,7 +259,36 @@ class TestBackwardScheme:
         with pytest.raises(GeneratorEvaluationError, match="node 39"):
             solve_frozen_rbdsde(p, np.zeros((small_noise.num_paths,
                                              small_noise.grid.num_steps + 1)),
-                                fwd, small_noise, sweep_plan(fwd), SolverConfig())
+                                fwd, small_noise, sweep_plan(fwd), SolverConfig(),
+                                obstacle=obstacle_values(p, fwd))
+
+    def test_linear_doubly_reference_refines_to_closed_form(self):
+        # f = a y + b z, g = c y: the scheme's limit tends to
+        # b T e^{aT} exp(c B_T - c^2 T / 2) as the grid is refined
+        a, b, c = 0.25, 0.2, 0.5
+        fine = build_grid(1.0, 4096)
+        errors = {4096: [], 64: []}
+        for stream in range(8):
+            noise = sample_noise(fine, 1, b_stream=stream)
+            exact = b * math.exp(a) * math.exp(c * float(np.sum(noise.b_increments))
+                                               - c * c / 2)
+            for ens in (noise, coarsen_noise(noise, 64)):
+                beta0 = linear_doubly_reference(a, b, c, ens.grid, ens.b_increments)
+                errors[ens.grid.num_steps].append(abs(beta0 / exact - 1.0))
+        assert np.mean(errors[4096]) <= 0.5 * np.mean(errors[64])
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_y_dependent_g_matches_linear_doubly_reference(self, seed):
+        gen = expression_generator("0.25*y + 0.2*z", "0.5*y", lipschitz_modulus(0.125))
+        p = dataclasses.replace(brownian_problem(with_obstacle=False), generators=gen)
+        noise = sample_noise(build_grid(p.horizon, 25), 5000, seed=seed)
+        fwd = simulate_forward(p, 0.0, p.spot, noise)
+        sol, _, _ = picard_solve(p, fwd, noise, RegressionBasis(),
+                                 SolverConfig(picard_tol=1e-10, picard_max_iter=40))
+        assert sol.diagnostics["converged"]
+        ref = linear_doubly_reference(0.25, 0.2, 0.5, noise.grid, noise.b_increments)
+        y0 = float(np.mean(sol.y.values[:, 0, 0]))
+        assert abs(y0 - ref) <= 4.0 * sol.diagnostics["value_stderr"]
 
     def test_finite_increment_scheme_close(self, small_noise):
         p = brownian_problem(a=0.2, b_coef=0.3)
@@ -271,7 +305,7 @@ class TestBackwardScheme:
         fwd = simulate_forward(p, 0.0, [0.0], small_noise)
         with pytest.raises(ValueError):
             solve_frozen_rbdsde(p, np.zeros((3, 3)), fwd, small_noise, sweep_plan(fwd),
-                                SolverConfig())
+                                SolverConfig(), obstacle=obstacle_values(p, fwd))
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +399,33 @@ class TestReflection:
         fwd = simulate_forward(p, 0.0, [0.0], small_noise)
         sol, _, _ = picard_solve(p, fwd, small_noise, BASIS, SolverConfig())
         assert skorokhod_residual(sol, obstacle_values(p, fwd)) == 0.0
+
+    def test_obstacle_evaluated_once_per_solve(self, small_noise):
+        calls = []
+        p = brownian_problem()
+        h = p.obstacle
+        p = dataclasses.replace(p, obstacle=lambda t, x: calls.append(t) or h(t, x))
+        fwd = simulate_forward(p, 0.0, [0.0], small_noise)
+        _, iterations, _ = picard_solve(p, fwd, small_noise, BASIS, SolverConfig())
+        assert iterations >= 2
+        assert calls == list(small_noise.grid.nodes)
+
+    def test_nan_obstacle_reports_node(self, small_noise):
+        p = brownian_problem()
+        h = p.obstacle
+        p = dataclasses.replace(p, obstacle=lambda t, x: h(t, x) + (np.nan if t > 0.5 else 0.0))
+        fwd = simulate_forward(p, 0.0, [0.0], small_noise)
+        with pytest.raises(GeneratorEvaluationError,
+                           match=r"^non-finite obstacle value at node 21$"):
+            picard_solve(p, fwd, small_noise, BASIS, SolverConfig())
+
+    def test_obstacle_shape_guard(self, small_noise):
+        p = brownian_problem()
+        fwd = simulate_forward(p, 0.0, [0.0], small_noise)
+        frozen = np.zeros((small_noise.num_paths, small_noise.grid.num_steps + 1))
+        with pytest.raises(ValueError, match="obstacle must have shape"):
+            solve_frozen_rbdsde(p, frozen, fwd, small_noise, sweep_plan(fwd), SolverConfig(),
+                                obstacle=obstacle_values(p, fwd)[:, 1:])
 
 
 class TestComparison:
