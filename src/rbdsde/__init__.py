@@ -6,7 +6,7 @@ generators, and the associated obstacle-SPDE random field u(t, x).
 __version__ = "0.1.0"
 
 from .paths import (TimeGrid, NoiseEnsemble, ProcessSample, build_grid,
-                    sample_noise, coarsen_noise, empirical_norm)
+                    sample_noise, empirical_norm)
 from .modulus import (ModulusSpec, eval_modulus, verify_modulus_axioms,
                       condition_a_uniqueness_check, majorant_sequence,
                       horizon_partition, moment_bound_constant)
@@ -22,7 +22,7 @@ from .field import (FieldSample, DossTransform, evaluate_u_field,
 __all__ = [
     "__version__",
     "TimeGrid", "NoiseEnsemble", "ProcessSample", "build_grid", "sample_noise",
-    "coarsen_noise", "empirical_norm",
+    "empirical_norm",
     "ModulusSpec", "eval_modulus", "verify_modulus_axioms",
     "condition_a_uniqueness_check", "majorant_sequence", "horizon_partition",
     "moment_bound_constant",

@@ -32,11 +32,14 @@ from . import __version__
 from .field import UnsupportedProblemError, monotone_field_sequence, solve_doss_eta
 from .forward import flow_continuity_test, simulate_forward
 from .generators import (EnvelopeRangeError, builtin_problem, catalog_names,
-                         envelope_property_check, expression_generator, shifted_problem)
-from .modulus import builtin_condition_a_fixtures, condition_a_uniqueness_check
+                         check_h4_witness, envelope_property_check, expression_generator,
+                         shifted_problem, validate_problem)
+from .modulus import (builtin_condition_a_fixtures, condition_a_uniqueness_check,
+                      majorant_sequence, verify_modulus_axioms)
 from .paths import build_grid, empirical_norm, sample_noise
 from .solver import (GeneratorEvaluationError, RegressionBasis, SingularRegressionError,
-                     SolverConfig, comparison_experiment, obstacle_values, picard_solve)
+                     SolverConfig, comparison_experiment, majorant_inputs, obstacle_values,
+                     picard_gap_vs_majorant, picard_solve, skorokhod_residual)
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -307,6 +310,11 @@ def cmd_field(cfg: ExperimentConfig) -> int:
 
     (out / "field.csv").write_text(table("values"))
     (out / "field_stderr.csv").write_text(table("stderr"))
+    if fc.envelope_n:
+        print(f"brackets: lower_monotone_violations={rep.lower_monotone_violations} "
+              f"upper_monotone_violations={rep.upper_monotone_violations} "
+              f"widths_non_increasing={rep.widths_non_increasing} "
+              f"base_within_bracket={rep.base_within_bracket}")
 
     stuck = [(name, t, x) for name, sample in dict(columns).items()
              for t, x in sample.non_converged]
@@ -369,7 +377,7 @@ def _suite_skorokhod():
     basis = RegressionBasis(kind="local-polynomial", bins=16, degree=1)
     sol, _, _ = picard_solve(problem, fwd, noise, basis, SolverConfig())
     obstacle = obstacle_values(problem, fwd)
-    residual = sol.diagnostics["skorokhod_residual"]
+    residual = skorokhod_residual(sol, obstacle)
     yv = sol.y.values[:, :, 0]
     bound = 1e-2 * empirical_norm(sol.y, "S2") * float(np.mean(sol.k.values[:, -1, 0]))
     dominance = float(np.min(yv - obstacle))
@@ -417,6 +425,43 @@ def _suite_flow():
     ]
 
 
+def _suite_hypotheses():
+    checks = []
+    for name in catalog_names():
+        problem = builtin_problem(name)
+        data = validate_problem(problem)
+        h4 = check_h4_witness(problem.generators, problem.horizon)
+        checks += [
+            (f"hypotheses.{name}.data", data.all_pass, f"max_violation={data.max_violation:.3e}"),
+            (f"hypotheses.{name}.h4", h4.all_pass,
+             f"max_f_violation={h4.max_f_violation:.3e} max_g_violation={h4.max_g_violation:.3e}"),
+        ]
+    for name, (spec, _) in builtin_condition_a_fixtures().items():
+        rep = verify_modulus_axioms(spec)
+        checks.append((f"hypotheses.modulus-{name}", rep.all_pass,
+                       f"max_monotone_violation={rep.max_monotone_violation:.3e} "
+                       f"max_concavity_violation={rep.max_concavity_violation:.3e}"))
+    return checks
+
+
+def _suite_majorant():
+    problem = builtin_problem("lipschitz-linear")
+    grid = build_grid(problem.horizon, 100)
+    noise = sample_noise(grid, 8000, seed=23)
+    fwd = simulate_forward(problem, 0.0, problem.spot, noise)
+    basis = RegressionBasis(kind="local-polynomial", bins=8, degree=1)
+    sol, iterations, _ = picard_solve(problem, fwd, noise, basis, SolverConfig(picard_tol=1e-8))
+    big_m, m1, _ = majorant_inputs(problem, fwd, noise, c=1.0)
+    majorant = majorant_sequence(problem.generators.modulus, big_m, m1, grid, n_max=16)
+    rep = picard_gap_vs_majorant(sol.diagnostics["per_iteration"]["gap"], majorant)
+    return [
+        ("majorant.converged", sol.diagnostics["converged"], f"iterations={iterations}"),
+        ("majorant.gaps-within", rep.all_within,
+         f"levels={list(rep.levels)} fraction_within={rep.fraction_within.tolist()} "
+         f"tolerance_binding={rep.tolerance_binding.tolist()}"),
+    ]
+
+
 _SUITES = {
     "condition-a": _suite_condition_a,
     "envelopes": _suite_envelopes,
@@ -424,6 +469,8 @@ _SUITES = {
     "skorokhod": _suite_skorokhod,
     "doss": _suite_doss,
     "flow": _suite_flow,
+    "hypotheses": _suite_hypotheses,
+    "majorant": _suite_majorant,
 }
 
 

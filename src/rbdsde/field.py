@@ -192,7 +192,6 @@ class MonotoneFieldReport:
     upper: dict[int, FieldSample]
     lower_monotone_violations: int
     upper_monotone_violations: int
-    bracket_widths: np.ndarray
     grid_tols: np.ndarray
     widths_non_increasing: bool
     base_within_bracket: bool
@@ -248,6 +247,6 @@ def monotone_field_sequence(problem: ProblemSpec, n_values, space_points, times,
     return MonotoneFieldReport(
         n_values=n_values, base=base, lower=lower, upper=upper,
         lower_monotone_violations=lo_viol, upper_monotone_violations=up_viol,
-        bracket_widths=widths, grid_tols=np.array([gtol[n] for n in n_values]),
+        grid_tols=np.array([gtol[n] for n in n_values]),
         widths_non_increasing=widths_mono,
         base_within_bracket=within)

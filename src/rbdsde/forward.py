@@ -57,12 +57,7 @@ class FlowReport:
     ``slope`` is the log-log slope of the estimate against the rung scale.
     """
 
-    p: int
-    scales: np.ndarray
-    dts: np.ndarray
-    dxs: np.ndarray
     estimates: np.ndarray
-    denominators: np.ndarray
     ratios: np.ndarray
     slope: float
     stable: bool
@@ -85,8 +80,9 @@ def flow_continuity_test(problem: ProblemSpec, start_a, start_b, p: int,
     nodes = noise.grid.nodes
     base = simulate_forward(problem, nodes[int(np.argmin(np.abs(nodes - t_a)))], x_a, noise)
 
-    scales, dts, dxs, ests, denoms = [], [], [], [], []
-    for s in (1.0, 0.5, 0.25, 0.125):
+    scales = (1.0, 0.5, 0.25, 0.125)
+    ests, denoms = [], []
+    for s in scales:
         t_k = nodes[int(np.argmin(np.abs(nodes - (t_a + s * (t_b - t_a)))))]
         x_k = x_a + s * (x_b - x_a)
         other = simulate_forward(problem, t_k, x_k, noise)
@@ -94,13 +90,9 @@ def flow_continuity_test(problem: ProblemSpec, start_a, start_b, p: int,
         sup = np.max(np.sqrt(np.sum(diff ** 2, axis=2)), axis=1)
         dt_k = abs(t_k - nodes[base.start_index])
         dx_k = float(np.sqrt(np.sum((x_k - x_a) ** 2)))
-        scales.append(s)
-        dts.append(dt_k)
-        dxs.append(dx_k)
         ests.append(float(np.mean(sup ** p)))
         denoms.append(dt_k ** (p / 2) + dx_k ** p)
 
-    scales = np.array(scales)
     ests = np.array(ests)
     denoms = np.array(denoms)
     ratios = np.where(denoms > 0, ests / np.where(denoms > 0, denoms, 1.0), 0.0)
@@ -112,6 +104,4 @@ def flow_continuity_test(problem: ProblemSpec, start_a, start_b, p: int,
         # degenerate ladder (identical starts): nothing to regress
         slope = float("nan")
         stable = True
-    return FlowReport(p=p, scales=scales, dts=np.array(dts), dxs=np.array(dxs),
-                      estimates=ests, denominators=denoms, ratios=ratios,
-                      slope=slope, stable=stable)
+    return FlowReport(estimates=ests, ratios=ratios, slope=slope, stable=stable)

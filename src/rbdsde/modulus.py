@@ -270,11 +270,7 @@ class UniquenessReport:
     """Joint verdict of the Osgood-divergence and backward-shooting tests."""
 
     verdict: str  # "passes" | "fails" | "inconclusive"
-    osgood_diverges: bool
-    shooting_vanishes: bool
     integral_values: np.ndarray
-    tail_rates: np.ndarray
-    tail_ratios: np.ndarray
     shoot_values: np.ndarray
     reason: str = ""
 
@@ -307,9 +303,7 @@ def condition_a_uniqueness_check(spec: ModulusSpec, M: float, T: float,
 
     probe = np.geomspace(eps[-1], 1.0, 257)
     if np.any(eval_modulus(spec, probe) <= 0):
-        return UniquenessReport(verdict="inconclusive", osgood_diverges=False,
-                                shooting_vanishes=False, integral_values=np.array([]),
-                                tail_rates=np.array([]), tail_ratios=np.array([]),
+        return UniquenessReport(verdict="inconclusive", integral_values=np.array([]),
                                 shoot_values=np.array([]),
                                 reason="modulus vanishes on part of (0, 1]")
 
@@ -330,9 +324,7 @@ def condition_a_uniqueness_check(spec: ModulusSpec, M: float, T: float,
 
     sol = solve_ivp(rhs, (T, 0.0), eps, method="RK45", rtol=1e-9, atol=1e-30)
     if not sol.success:
-        return UniquenessReport(verdict="inconclusive", osgood_diverges=osgood,
-                                shooting_vanishes=False, integral_values=integrals,
-                                tail_rates=tail_rates, tail_ratios=tail_ratios,
+        return UniquenessReport(verdict="inconclusive", integral_values=integrals,
                                 shoot_values=np.array([]),
                                 reason=f"shooting integration failed: {sol.message}")
     shoots = sol.y[:, -1]
@@ -345,10 +337,7 @@ def condition_a_uniqueness_check(spec: ModulusSpec, M: float, T: float,
         verdict = "fails"
     else:
         verdict = "inconclusive"
-    return UniquenessReport(verdict=verdict, osgood_diverges=osgood,
-                            shooting_vanishes=shooting, integral_values=integrals,
-                            tail_rates=tail_rates, tail_ratios=tail_ratios,
-                            shoot_values=shoots)
+    return UniquenessReport(verdict=verdict, integral_values=integrals, shoot_values=shoots)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,6 @@ __all__ = [
     "ProcessSample",
     "build_grid",
     "sample_noise",
-    "coarsen_noise",
     "empirical_norm",
 ]
 
@@ -163,21 +162,6 @@ def sample_noise(grid: TimeGrid, num_paths: int, d: int = 1, ell: int = 1,
     for k in range(num_paths):
         w[k] = _stream(seed, k).standard_normal((N, d)) * scale
     b = _stream(seed, _B_STREAM_BASE + b_stream).standard_normal((N, ell)) * scale
-    return NoiseEnsemble(grid, w, b)
-
-
-def coarsen_noise(ens: NoiseEnsemble, factor: int) -> NoiseEnsemble:
-    """Aggregate increments onto a grid that is ``factor`` times coarser.
-
-    The coarse ensemble realizes the same Brownian paths, which makes nested
-    refinement studies (strong error, self-convergence) possible.
-    """
-    N = ens.grid.num_steps
-    if factor < 1 or N % factor != 0:
-        raise ValueError(f"factor {factor} must divide the step count {N}")
-    grid = TimeGrid(ens.grid.nodes[::factor].copy())
-    w = ens.w_increments.reshape(ens.num_paths, N // factor, factor, ens.d).sum(axis=2)
-    b = ens.b_increments.reshape(N // factor, factor, ens.ell).sum(axis=1)
     return NoiseEnsemble(grid, w, b)
 
 

@@ -4,12 +4,17 @@ These deliberately take different numerical routes from the package code:
 the binomial tree prices optimal stopping on a lattice, the plain backward
 scheme below runs its regressions through an SVD least-squares solve, the
 dense design matrix spells out every basis column, and the envelope oracle
-scans the grid point by point.
+scans the grid point by point.  Noise coarsening for refinement studies
+lives here too, since only the tests refine a grid.  The package's
+``NoiseEnsemble`` and ``TimeGrid`` are imported as containers only: no
+package routine runs inside an oracle.
 """
 
 import itertools
 
 import numpy as np
+
+from rbdsde.paths import NoiseEnsemble, TimeGrid
 
 
 def binomial_american_put(spot, strike, rate, vol, horizon, steps=2000):
@@ -26,6 +31,21 @@ def binomial_american_put(spot, strike, rate, vol, horizon, steps=2000):
         values = np.maximum(disc * (q * values[:-1] + (1 - q) * values[1:]),
                             np.maximum(strike - stock, 0.0))
     return float(values[0])
+
+
+def coarsen_noise(ens, factor):
+    """Aggregate increments onto a grid that is ``factor`` times coarser.
+
+    The coarse ensemble realizes the same Brownian paths, which makes nested
+    refinement studies (strong error, self-convergence) possible.
+    """
+    N = ens.grid.num_steps
+    if factor < 1 or N % factor != 0:
+        raise ValueError(f"factor {factor} must divide the step count {N}")
+    grid = TimeGrid(ens.grid.nodes[::factor].copy())
+    w = ens.w_increments.reshape(ens.num_paths, N // factor, factor, ens.d).sum(axis=2)
+    b = ens.b_increments.reshape(N // factor, factor, ens.ell).sum(axis=1)
+    return NoiseEnsemble(grid, w, b)
 
 
 def _lstsq_fit(state, degree, values):

@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import binomial_american_put, brute_force_envelope, plain_bsde_reference
+from oracles import (binomial_american_put, brute_force_envelope, coarsen_noise,
+                     plain_bsde_reference)
 from rbdsde.cli import main as cli_main
 from rbdsde.field import evaluate_u_field, monotone_field_sequence, solve_doss_eta
 from rbdsde.forward import simulate_forward
@@ -22,7 +23,7 @@ from rbdsde.generators import (GeneratorSpec, builtin_problem, catalog_names,
 from rbdsde.modulus import (builtin_condition_a_fixtures, condition_a_uniqueness_check,
                             constant_budgets, horizon_partition, lipschitz_modulus,
                             majorant_sequence)
-from rbdsde.paths import build_grid, coarsen_noise, empirical_norm, sample_noise
+from rbdsde.paths import build_grid, empirical_norm, sample_noise
 from rbdsde.solver import (RegressionBasis, SolverConfig, comparison_experiment,
                            obstacle_values, picard_solve, skorokhod_residual)
 

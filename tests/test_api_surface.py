@@ -1,4 +1,5 @@
-"""No parameter without a caller, and no parameter without a reader.
+"""No function without a caller, no parameter without a caller, and no
+parameter without a reader.
 
 An AST scan of the package's public functions and methods against every call
 in ``src/`` and ``bench/``: a defaulted parameter that no call passes, by
@@ -9,8 +10,11 @@ parameter unchanged, or passes a literal equal to the default, does not
 count as setting it.  A parameter of a private helper that every call
 passes as the same literal is a constant in the same way.  A parameter of a
 public function or method that its body never reads is an argument every
-caller writes for nothing.  Every name a module exports in ``__all__`` must
-also resolve, so a removal leaves no stale export behind.
+caller writes for nothing.  A public function or method that no code in
+``src/`` or ``bench/`` refers to, by a call or by handing its name on, has
+no user outside the tests: it belongs next to the oracles or out of the
+package.  Every name a module exports in ``__all__`` must also resolve, so
+a removal leaves no stale export behind.
 """
 
 import ast
@@ -108,6 +112,36 @@ def _public_parameters():
     return out
 
 
+def _scanned_modules(root: Path):
+    """(path, parsed module) of every file in the scanned trees under ``root``."""
+    for top in SCANNED:
+        for path in sorted((root / top).rglob("*.py")):
+            yield path, ast.parse(path.read_text())
+
+
+def _references(root: Path = ROOT):
+    """Every name the scanned trees under ``root`` load, a dotted name by its
+    last attribute: a call and a name handed on alike.  Import lines and
+    strings, such as a list of traced names, refer to nothing."""
+    names = set()
+    for _, tree in _scanned_modules(root):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def _unreferenced(root: Path = ROOT):
+    """Qualified names of the public functions and methods of the package
+    under ``root`` that no scanned code refers to."""
+    names = _references(root)
+    return [qualified for path in sorted((root / "src" / "rbdsde").glob("*.py"))
+            for qualified, fn, _ in _public_functions(ast.parse(path.read_text()), path.stem)
+            if fn.name not in names]
+
+
 def _calls(root: Path = ROOT):
     """{called name: [(positional sources, keyword sources)]} over every call
     in the scanned trees under ``root``, a call named by its last attribute.
@@ -117,38 +151,36 @@ def _calls(root: Path = ROOT):
     ``**kwargs`` only forward what some other call passes, so they and the
     positions after them set nothing themselves."""
     out = {}
-    for top in SCANNED:
-        for path in sorted((root / top).rglob("*.py")):
-            tree = ast.parse(path.read_text())
-            scopes = [(tree, "", set())]
-            if path.parent == root / "src" / "rbdsde":
-                scopes += [(fn, qualified, {name for name, _, _ in _defaulted(fn, is_method)})
-                           for qualified, fn, is_method in _public_functions(tree, path.stem)]
-            seen = set()
-            for scope, qualified, own in reversed(scopes):  # functions before the module
+    for path, tree in _scanned_modules(root):
+        scopes = [(tree, "", set())]
+        if path.parent == root / "src" / "rbdsde":
+            scopes += [(fn, qualified, {name for name, _, _ in _defaulted(fn, is_method)})
+                       for qualified, fn, is_method in _public_functions(tree, path.stem)]
+        seen = set()
+        for scope, qualified, own in reversed(scopes):  # functions before the module
 
-                def source(value):
-                    if isinstance(value, ast.Name) and value.id in own:
-                        return qualified, value.id
-                    literal = _literal(value)
-                    return None if literal is NOT_LITERAL else Literal(literal)
+            def source(value):
+                if isinstance(value, ast.Name) and value.id in own:
+                    return qualified, value.id
+                literal = _literal(value)
+                return None if literal is NOT_LITERAL else Literal(literal)
 
-                for node in ast.walk(scope):
-                    if not isinstance(node, ast.Call) or id(node) in seen:
-                        continue
-                    seen.add(id(node))
-                    func = node.func
-                    name = (func.attr if isinstance(func, ast.Attribute)
-                            else func.id if isinstance(func, ast.Name) else None)
-                    if name is None:
-                        continue
-                    positional = []
-                    for arg in node.args:
-                        if isinstance(arg, ast.Starred):
-                            break
-                        positional.append(source(arg))
-                    keywords = {k.arg: source(k.value) for k in node.keywords if k.arg is not None}
-                    out.setdefault(name, []).append((positional, keywords))
+            for node in ast.walk(scope):
+                if not isinstance(node, ast.Call) or id(node) in seen:
+                    continue
+                seen.add(id(node))
+                func = node.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else func.id if isinstance(func, ast.Name) else None)
+                if name is None:
+                    continue
+                positional = []
+                for arg in node.args:
+                    if isinstance(arg, ast.Starred):
+                        break
+                    positional.append(source(arg))
+                keywords = {k.arg: source(k.value) for k in node.keywords if k.arg is not None}
+                out.setdefault(name, []).append((positional, keywords))
     return out
 
 
@@ -256,6 +288,27 @@ def test_every_defaulted_parameter_has_a_caller():
     missing = [name for name in missing if name not in KEPT_FOR_BENCH]
     assert not missing, ("defaulted parameters that no call in src/ or bench/ "
                          f"sets ({len(missing)}): " + ", ".join(missing))
+
+
+def test_scan_flags_a_function_only_the_tests_refer_to(tmp_path):
+    package = tmp_path / "src" / "rbdsde"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(
+        "def f():\n    pass\ndef g():\n    pass\ndef h():\n    pass\n"
+        "def _private():\n    pass\n"
+        "class K:\n    def used(self):\n        pass\n    def unused(self):\n        pass\n"
+        "TRACED = ['f']\n")
+    (package / "n.py").write_text("from .m import f\nh()\n")
+    for top, use in (("tests", "f()\nK().unused()\n"), ("bench", "run(g)\nk.used()\n")):
+        (tmp_path / top).mkdir()
+        (tmp_path / top / "use.py").write_text(use)
+    assert _unreferenced(tmp_path) == ["m.f", "m.K.unused"]
+
+
+def test_every_public_function_has_a_caller():
+    unreferenced = _unreferenced()
+    assert not unreferenced, ("public functions and methods that nothing in src/ or bench/ "
+                              f"refers to ({len(unreferenced)}): " + ", ".join(unreferenced))
 
 
 def test_scan_flags_a_helper_argument_that_never_varies():

@@ -368,6 +368,15 @@ class TestFieldCommand:
         columns = [list(c) for c in zip(*(line.split(",")[3:] for line in lines[1:]))]
         assert columns == expected
 
+    def test_envelope_brackets_reported(self, tmp_path, monkeypatch, capsys):
+        args = ["field", "--problem", "lipschitz-linear", "--N", "10", "--paths", "500"]
+        assert run(args + ["--envelope-n", "4", "8"], monkeypatch, tmp_path) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "brackets: lower_monotone_violations=0 upper_monotone_violations=0 "
+            "widths_non_increasing=True base_within_bracket=True")
+        assert run(args, monkeypatch, tmp_path, out="plain") == 0
+        assert "brackets:" not in capsys.readouterr().out
+
     def test_non_convergence_exit_and_list(self, tmp_path, monkeypatch, capsys):
         cfg = {"problem": {"name": "lipschitz-linear"}, "grid": {"N": 8},
                "monte_carlo": {"paths": 300, "seed": 3}, "solver": {"picard_max_iter": 1},
@@ -438,6 +447,17 @@ class TestVerifyCommand:
         assert run(["verify", "condition-a"], monkeypatch, tmp_path) == 0
         text = (tmp_path / "out" / "verify_condition-a.txt").read_text()
         assert text.count("PASS") == 4
+
+    @pytest.mark.parametrize("suite, rows", [
+        ("hypotheses", [f"hypotheses.{name}.{part}" for name in catalog_names()
+                        for part in ("data", "h4")]
+         + [f"hypotheses.modulus-{name}" for name in ("lipschitz", "log", "loglog", "sqrt")]),
+        ("majorant", ["majorant.converged", "majorant.gaps-within"]),
+    ])
+    def test_paper_checks_run_as_suites(self, suite, rows, tmp_path, monkeypatch):
+        assert run(["verify", suite], monkeypatch, tmp_path) == 0
+        lines = (tmp_path / "out" / f"verify_{suite}.txt").read_text().splitlines()
+        assert [line.split()[:2] for line in lines] == [["PASS", row] for row in rows]
 
     def test_report_never_passes_with_failures(self, tmp_path, monkeypatch):
         # exit status 0 must coincide with a FAIL-free report

@@ -3,12 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import coarsen_noise
 import rbdsde.field as field_module
 from rbdsde.field import (StepSizeError, UnsupportedProblemError, evaluate_u_field,
                           monotone_field_sequence, solve_doss_eta)
 from rbdsde.forward import simulate_forward
 from rbdsde.generators import builtin_problem
-from rbdsde.paths import build_grid, coarsen_noise, sample_noise
+from rbdsde.paths import build_grid, sample_noise
 from rbdsde.solver import RegressionBasis, SolverConfig
 
 BASIS = RegressionBasis(kind="local-polynomial", bins=8, degree=1)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import coarsen_noise
 from rbdsde.forward import flow_continuity_test, simulate_forward
 from rbdsde.generators import builtin_problem
-from rbdsde.paths import build_grid, coarsen_noise, sample_noise
+from rbdsde.paths import build_grid, sample_noise
 
 
 class TestSimulate:

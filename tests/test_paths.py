@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rbdsde.paths import (NoiseEnsemble, ProcessSample, TimeGrid, build_grid, coarsen_noise,
-                          empirical_norm, sample_noise)
+from oracles import coarsen_noise
+from rbdsde.paths import (NoiseEnsemble, ProcessSample, TimeGrid, build_grid, empirical_norm,
+                          sample_noise)
 
 # E sup_{[0,1]} |W|^2 from the fine-grid ensemble (N=4096, M=2e4, seed=555)
 FINE_SUP_SQ = 1.838363189345244

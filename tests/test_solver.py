@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (design_matrix, implicit_linear_reference, linear_doubly_reference,
-                     plain_bsde_reference)
+from oracles import (coarsen_noise, design_matrix, implicit_linear_reference,
+                     linear_doubly_reference, plain_bsde_reference)
 from rbdsde.forward import simulate_forward
-from rbdsde.generators import (GeneratorSpec, builtin_problem, expression_generator,
-                               shifted_problem)
+from rbdsde.generators import (GeneratorSpec, ProblemSpec, builtin_problem,
+                               expression_generator, shifted_problem)
 from rbdsde.modulus import lipschitz_modulus, majorant_sequence
-from rbdsde.paths import ProcessSample, build_grid, coarsen_noise, sample_noise
+from rbdsde.paths import ProcessSample, build_grid, sample_noise
 import rbdsde.solver
 from rbdsde.solver import (ComparisonSetupError, GeneratorEvaluationError,
                            MajorantGapReport, RegressionBasis, RegressionPlan,
@@ -289,6 +289,25 @@ class TestBackwardScheme:
         ref = linear_doubly_reference(0.25, 0.2, 0.5, noise.grid, noise.b_increments)
         y0 = float(np.mean(sol.y.values[:, 0, 0]))
         assert abs(y0 - ref) <= 4.0 * sol.diagnostics["value_stderr"]
+
+    @pytest.mark.parametrize("seed", range(1, 4))
+    def test_two_dimensional_brownian_matches_closed_form(self, seed):
+        # f = a y + b (z1 + z2), g = 0, terminal X1 + X2 of a 2-d Brownian
+        # motion from 0, no obstacle: Y_0 = 2 b T e^{aT}
+        a, b = 0.25, 0.2
+        gen = GeneratorSpec(f=lambda t, x, y, z: a * y + b * np.sum(z, axis=1),
+                            g=lambda t, x, y, z: np.zeros((len(y), 1)),
+                            modulus=lipschitz_modulus(2.0 * a * a), z_lipschitz=4.0 * b * b)
+        p = ProblemSpec(name="brownian-2d", dim=2, horizon=1.0, drift=np.zeros_like,
+                        diffusion=lambda x: np.tile(np.eye(2), (len(x), 1, 1)),
+                        generators=gen, terminal=lambda x: np.sum(x, axis=1), obstacle=None,
+                        spot=np.zeros(2))
+        noise = sample_noise(build_grid(p.horizon, 25), 5000, d=2, seed=seed)
+        fwd = simulate_forward(p, 0.0, p.spot, noise)
+        sol, _, _ = picard_solve(p, fwd, noise, RegressionBasis(bins=4), SolverConfig())
+        assert sol.diagnostics["converged"]
+        y0 = float(np.mean(sol.y.values[:, 0, 0]))
+        assert abs(y0 - 2.0 * b * math.exp(a)) <= 4.0 * sol.diagnostics["value_stderr"]
 
     def test_finite_increment_scheme_close(self, small_noise):
         p = brownian_problem(a=0.2, b_coef=0.3)
