@@ -451,7 +451,7 @@ def _suite_majorant():
     fwd = simulate_forward(problem, 0.0, problem.spot, noise)
     basis = RegressionBasis(kind="local-polynomial", bins=8, degree=1)
     sol, iterations, _ = picard_solve(problem, fwd, noise, basis, SolverConfig(picard_tol=1e-8))
-    big_m, m1, _ = majorant_inputs(problem, fwd, noise, c=1.0)
+    big_m, m1 = majorant_inputs(problem, fwd, noise, c=1.0)
     majorant = majorant_sequence(problem.generators.modulus, big_m, m1, grid, n_max=16)
     rep = picard_gap_vs_majorant(sol.diagnostics["per_iteration"]["gap"], majorant)
     return [

@@ -37,16 +37,17 @@ def simulate_forward(problem: ProblemSpec, t: float, x, noise: NoiseEnsemble) ->
         raise ValueError(f"start state must have shape ({problem.dim},)")
     if noise.d != problem.dim:
         raise ValueError("noise dimension does not match the problem")
-    m = noise.num_paths
     dt = grid.dt
-    dw = noise.w_increments
-    vals = np.empty((m, grid.num_steps + 1, problem.dim))
-    vals[:, :i0 + 1] = x
+    dw = noise.w_increments.transpose(1, 0, 2)
+    # node-major: row i holds node i over all paths
+    vals = np.empty((grid.num_steps + 1, noise.num_paths, problem.dim))
+    vals[:i0 + 1] = x
     for i in range(i0, grid.num_steps):
-        xi = vals[:, i]
-        vals[:, i + 1] = (xi + problem.drift(xi) * dt[i]
-                          + np.einsum("mij,mj->mi", problem.diffusion(xi), dw[:, i]))
-    return ForwardEnsemble(start_index=i0, paths=ProcessSample(grid=grid, values=vals))
+        xi = vals[i]
+        vals[i + 1] = (xi + problem.drift(xi) * dt[i]
+                       + np.einsum("mij,mj->mi", problem.diffusion(xi), dw[i]))
+    return ForwardEnsemble(start_index=i0,
+                           paths=ProcessSample(grid=grid, values=vals.transpose(1, 0, 2)))
 
 
 @dataclass(frozen=True)

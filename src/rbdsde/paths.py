@@ -7,6 +7,10 @@ l-dimensional, a single realized path per experiment).  Noise is generated
 from counter-based Philox substreams keyed by (seed, stream id), so path k's
 increments never depend on how many paths were requested or on any execution
 order.
+
+Path arrays are stored node-major (row i holds node i over all paths) and
+exposed as (num_paths, nodes, dim) views, so the per-node reads of the
+forward and backward recursions touch contiguous memory.
 """
 
 from __future__ import annotations
@@ -89,10 +93,10 @@ def build_grid(T: float, N: int) -> TimeGrid:
     return TimeGrid(np.linspace(0.0, float(T), int(N) + 1))
 
 
-def _stream(seed: int, stream_id: int) -> np.random.Generator:
+def _key(seed: int, stream_id: int) -> list[int]:
     # Counter-based generator: the (seed, stream) pair fully determines the
     # draw, independent of call ordering or thread layout.
-    return np.random.Generator(np.random.Philox(key=[int(seed) & (2**64 - 1), int(stream_id)]))
+    return [int(seed) & (2**64 - 1), int(stream_id)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +107,9 @@ class NoiseEnsemble:
     (N, l); every component has variance dt per step.  B is deliberately a
     single path: the solution of the backward equation is a random field over
     the B-randomness, and the path-wise regression runs over W only.
+
+    ``sample_noise`` stores W node-major, so ``w_increments`` is a view
+    whose step-i slice ``w_increments[:, i]`` is contiguous.
     """
 
     grid: TimeGrid
@@ -158,16 +165,27 @@ def sample_noise(grid: TimeGrid, num_paths: int, d: int = 1, ell: int = 1,
         raise ValueError("num_paths, d and ell must all be >= 1")
     N = grid.num_steps
     scale = np.sqrt(grid.dt)[:, None]
-    w = np.empty((num_paths, N, d))
+    # one generator, re-keyed per path: path k draws from key [seed, k]
+    bits = np.random.Philox(key=_key(seed, 0))
+    state = bits.state
+    draw = np.random.Generator(bits)
+    w = np.empty((N, num_paths, d))
     for k in range(num_paths):
-        w[k] = _stream(seed, k).standard_normal((N, d)) * scale
-    b = _stream(seed, _B_STREAM_BASE + b_stream).standard_normal((N, ell)) * scale
-    return NoiseEnsemble(grid, w, b)
+        state["state"]["key"][1] = k
+        bits.state = state
+        w[:, k] = draw.standard_normal((N, d))
+    w *= scale[:, None]
+    b = np.random.Generator(np.random.Philox(key=_key(seed, _B_STREAM_BASE + b_stream)))
+    return NoiseEnsemble(grid, w.transpose(1, 0, 2), b.standard_normal((N, ell)) * scale)
 
 
 @dataclass(frozen=True, eq=False)
 class ProcessSample:
-    """Discrete adapted process sample, shape (num_paths, N+1, dim)."""
+    """Discrete adapted process sample, shape (num_paths, N+1, dim).
+
+    The forward paths and the solver's Y, Z and K store their values
+    node-major and pass the transposed (num_paths, N+1, dim) view here.
+    """
 
     grid: TimeGrid
     values: np.ndarray

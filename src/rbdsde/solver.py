@@ -60,6 +60,8 @@ _ORDER_TOL = 1e-9
 _GAP_TOL = 1e-3
 # a SolutionTriple's K may start off 0 or step down by this much of rounding
 _K_TOL = 1e-12
+# _path_mean sums the paths in blocks of at most this many
+_PATH_BLOCK = 4096
 
 
 class SingularRegressionError(RuntimeError):
@@ -149,9 +151,11 @@ def _moments(loc: np.ndarray, ids: np.ndarray, n_bins: int, v2: np.ndarray) -> n
 class RegressionPlan:
     """Regression designs of one forward ensemble, built once per node.
 
-    ``states`` holds the (M, n, d) forward paths.  The first ``fit`` at a node
-    builds and caches what depends on the state alone: the standardisation
-    (mu, sd), the bin ids, and the ridged Gram matrices.
+    ``states`` holds the (M, n, d) forward paths; stored node-major, as
+    ``simulate_forward`` leaves them, each node's (M, d) state is contiguous.
+    The first ``fit`` at a node builds and caches what depends on the state
+    alone: the standardisation (mu, sd), the bin ids, and the ridged Gram
+    matrices.
     Later fits there only accumulate the right-hand side, so a Picard loop
     projecting every sweep on the same filtration pays for its designs once,
     and a rank-deficient design is reported at the first fit that needs it.
@@ -259,6 +263,10 @@ def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble
     obstacle process of ``obstacle_values`` (None without an obstacle).
     Values before ``start_index`` replicate the start-node solution (the
     standard extension below the start time).
+
+    Y, Z and K are stored node-major, (N+1, M[, d]), and returned as
+    (M, N+1, dim) views; inputs stored node-major (as ``simulate_forward``,
+    ``obstacle_values`` and this sweep leave them) are read row by row.
     """
     grid = noise.grid
     n_steps = grid.num_steps
@@ -271,53 +279,56 @@ def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble
         raise ValueError("obstacle must have shape (num_paths, N+1)")
     if noise.ell != gen.ell:
         raise ValueError("noise B dimension does not match the generator")
-    xs = forward.paths.values
+    # node-major views of the inputs: row i is node (or step) i
+    xs = forward.paths.values.transpose(1, 0, 2)
+    dw = noise.w_increments.transpose(1, 0, 2)
+    frozen = frozen.T
+    obstacle = None if obstacle is None else obstacle.T
     dt = grid.dt
-    dw = noise.w_increments
     db = noise.b_increments
     nodes = grid.nodes
 
-    y = np.empty((m, n_steps + 1))
-    z = np.zeros((m, n_steps + 1, problem.dim))
-    push = np.zeros((m, n_steps))
+    y = np.empty((n_steps + 1, m))
+    z = np.zeros((n_steps + 1, m, problem.dim))
+    # k[i + 1] holds the push at node i until the running sum below
+    k = np.zeros((n_steps + 1, m))
 
-    y[:, n_steps] = problem.terminal(xs[:, n_steps])
-    _check_finite(y[:, n_steps], "terminal value", n_steps)
+    y[n_steps] = problem.terminal(xs[n_steps])
+    _check_finite(y[n_steps], "terminal value", n_steps)
     # pathwise rollout (terminal plus integrated drivers and pushes): its
     # spread is a conservative scale for the start-value sampling error,
     # which the post-regression spread of Y would understate
-    rollout = y[:, n_steps].copy()
+    rollout = y[n_steps].copy()
 
     for i in range(n_steps - 1, start_index - 1, -1):
-        state = xs[:, i]
         if cfg.z_scheme == "regression":
-            zi = plan.fit(i, y[:, i + 1][:, None] * dw[:, i]) / dt[i]
+            zi = plan.fit(i, y[i + 1][:, None] * dw[i]) / dt[i]
         else:
             # finite-increment form: project the martingale increment of Y
-            ybar = plan.fit(i, y[:, i + 1])
-            zi = plan.fit(i, (y[:, i + 1] - ybar)[:, None] * dw[:, i]) / dt[i]
-        z[:, i] = zi
+            ybar = plan.fit(i, y[i + 1])
+            zi = plan.fit(i, (y[i + 1] - ybar)[:, None] * dw[i]) / dt[i]
+        z[i] = zi
 
-        f_i = gen.f(float(nodes[i]), state, frozen[:, i], zi)
-        g_i = gen.g(float(nodes[i + 1]), xs[:, i + 1], frozen[:, i + 1], zi)
-        target = y[:, i + 1] + f_i * dt[i] + g_i @ db[i]
+        f_i = gen.f(float(nodes[i]), xs[i], frozen[i], zi)
+        g_i = gen.g(float(nodes[i + 1]), xs[i + 1], frozen[i + 1], zi)
+        target = y[i + 1] + f_i * dt[i] + g_i @ db[i]
         _check_finite(target, "generator value", i)
 
         yhat = plan.fit(i, target)
-        y[:, i] = yhat if obstacle is None else np.maximum(yhat, obstacle[:, i])
-        push[:, i] = y[:, i] - yhat
-        rollout += f_i * dt[i] + g_i @ db[i] + push[:, i]
+        y[i] = yhat if obstacle is None else np.maximum(yhat, obstacle[i])
+        k[i + 1] = y[i] - yhat
+        rollout += f_i * dt[i] + g_i @ db[i] + k[i + 1]
 
     value_stderr = float(np.std(rollout) / math.sqrt(m))
-    k = np.zeros((m, n_steps + 1))
-    np.cumsum(push[:, start_index:], axis=1, out=k[:, start_index + 1:])
+    for i in range(start_index + 1, n_steps):
+        k[i + 1] += k[i]
     if start_index > 0:
-        y[:, :start_index] = y[:, start_index][:, None]
+        y[:start_index] = y[start_index]
 
     return SolutionTriple(
-        y=ProcessSample(grid=grid, values=y[:, :, None]),
-        z=ProcessSample(grid=grid, values=z),
-        k=ProcessSample(grid=grid, values=k[:, :, None]),
+        y=ProcessSample(grid=grid, values=y.T[:, :, None]),
+        z=ProcessSample(grid=grid, values=z.transpose(1, 0, 2)),
+        k=ProcessSample(grid=grid, values=k.T[:, :, None]),
         diagnostics={"value_stderr": value_stderr},
     )
 
@@ -337,18 +348,44 @@ def obstacle_values(problem: ProblemSpec, forward: ForwardEnsemble) -> np.ndarra
     for i in range(len(nodes)):
         columns.append(problem.obstacle(float(nodes[i]), xs[:, i]))
         _check_finite(columns[-1], "obstacle value", i)
-    return np.column_stack(columns)
+    # stored node-major, like the paths
+    return np.stack(columns).T
+
+
+def _path_mean(term, *arrays: np.ndarray) -> np.ndarray:
+    """Mean over axis 0 (the paths) of ``term(*blocks)``, where the blocks
+    are the arrays' slices of at most _PATH_BLOCK paths.
+
+    The paths are added one after another in path order, whatever the
+    arrays' memory layout: each block is copied path-major behind the
+    running sum and reduced along axis 0.  That is the order of ``np.mean``
+    on a C-contiguous array, so the record keeps its bits, and no
+    temporary is larger than one block.
+    """
+    m = arrays[0].shape[0]
+    total = 0.0
+    for lo in range(0, m, _PATH_BLOCK):
+        block = term(*(a[lo:lo + _PATH_BLOCK] for a in arrays))
+        stack = np.empty((len(block) + 1,) + block.shape[1:])
+        stack[0] = total
+        stack[1:] = block
+        total = np.add.reduce(stack, axis=0)
+    return total / m
+
+
+def _contact_gap(y: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(Y_i - S_i) dK_i where K pushes, 0 elsewhere, for (paths, nodes) blocks."""
+    dk = np.diff(k, axis=1)
+    return np.where(dk > 0, (y[:, :-1] - s[:, :-1]) * dk, 0.0)
 
 
 def _flatness_partial(sol: SolutionTriple, obstacle: np.ndarray | None) -> np.ndarray:
     n_nodes = sol.y.grid.num_steps + 1
     if obstacle is None:
         return np.zeros(n_nodes)
-    yv = sol.y.values[:, :, 0]
-    dk = np.diff(sol.k.values[:, :, 0], axis=1)
-    contrib = np.where(dk > 0, (yv[:, :-1] - obstacle[:, :-1]) * dk, 0.0)
     out = np.zeros(n_nodes)
-    out[1:] = np.cumsum(np.mean(contrib, axis=0))
+    out[1:] = np.cumsum(_path_mean(_contact_gap, sol.y.values[:, :, 0],
+                                   sol.k.values[:, :, 0], obstacle))
     return out
 
 
@@ -373,26 +410,25 @@ def picard_solve(problem: ProblemSpec, forward: ForwardEnsemble, noise: NoiseEns
     Returns the solution triple, the number of sweeps, and the gap history
     (the sup over nodes of each sweep's gap).  ``diagnostics["per_iteration"]``
     maps each of mean_Y, mean_Z_norm, mean_K, gap (the node-wise mean-square
-    gap) and skorokhod_partial to an (iterations, N+1) array.
+    gap) and skorokhod_partial to an (iterations, N+1) array; each is a
+    mean over the paths taken in path order.
     """
-    m = noise.num_paths
-    n_nodes = noise.grid.num_steps + 1
     obstacle = obstacle_values(problem, forward)
     plan = RegressionPlan(basis, forward.paths.values, cfg.ridge)
-    prev = np.zeros((m, n_nodes))
+    prev = np.zeros((noise.grid.num_steps + 1, noise.num_paths)).T
     rows: list[dict] = []
     converged = False
-    sol = None
-    iterations = 0
     for iterations in range(1, cfg.picard_max_iter + 1):
+        # drop the last iterate's Z and K before the sweep allocates its own
+        sol = None
         sol = solve_frozen_rbdsde(problem, prev, forward, noise, plan, cfg,
                                   start_index=start_index, obstacle=obstacle)
         ycur = sol.y.values[:, :, 0]
-        profile = np.mean((ycur - prev) ** 2, axis=0)
+        profile = _path_mean(lambda a, b: (a - b) ** 2, ycur, prev)
         rows.append({
-            "mean_Y": np.mean(ycur, axis=0),
-            "mean_Z_norm": np.mean(np.sqrt(np.sum(sol.z.values ** 2, axis=2)), axis=0),
-            "mean_K": np.mean(sol.k.values[:, :, 0], axis=0),
+            "mean_Y": _path_mean(np.asarray, ycur),
+            "mean_Z_norm": _path_mean(lambda z: np.sqrt(np.sum(z ** 2, axis=2)), sol.z.values),
+            "mean_K": _path_mean(np.asarray, sol.k.values[:, :, 0]),
             "gap": profile,
             "skorokhod_partial": _flatness_partial(sol, obstacle),
         })
@@ -466,11 +502,12 @@ def comparison_experiment(problem1: ProblemSpec, problem2: ProblemSpec,
 
     sol1, _, _ = picard_solve(problem1, forward, noise, basis, cfg)
     sol2, _, _ = picard_solve(problem2, forward, noise, basis, cfg)
-    y1 = sol1.y.values[:, :, 0]
-    y2 = sol2.y.values[:, :, 0]
-    diff = y1 - y2
-    node_means = np.mean(np.maximum(diff, 0.0), axis=0)
-    node_stderr = np.std(diff, axis=0) / math.sqrt(diff.shape[0])
+    diff = sol1.y.values[:, :, 0] - sol2.y.values[:, :, 0]
+    # np.mean and np.std of a path-major diff, summed in the same order
+    node_means = _path_mean(lambda d: np.maximum(d, 0.0), diff)
+    centre = _path_mean(np.asarray, diff)
+    spread = np.sqrt(_path_mean(lambda d: (d - centre) ** 2, diff))
+    node_stderr = spread / math.sqrt(diff.shape[0])
     return ComparisonReport(
         max_mean_positive_part=float(np.max(node_means)),
         node_means=node_means,
@@ -481,8 +518,8 @@ def comparison_experiment(problem1: ProblemSpec, problem2: ProblemSpec,
 
 
 def majorant_inputs(problem: ProblemSpec, forward: ForwardEnsemble,
-                    noise: NoiseEnsemble, c: float) -> tuple[float, float, float]:
-    """Assemble (M, M1, mu1) for the gap majorant from empirical norms.
+                    noise: NoiseEnsemble, c: float) -> tuple[float, float]:
+    """Assemble (M, M1) for the gap majorant from empirical norms.
 
     mu1 = c e^{cT} (1 + E|xi|^2 + E sup|S|^2 + E int |f(s,0,0)|^2 +
     |g(s,0,0)|^2 ds) measured along the forward paths; M is the moment-bound
@@ -507,7 +544,7 @@ def majorant_inputs(problem: ProblemSpec, forward: ForwardEnsemble,
         integral += float(np.mean(f0 ** 2 + np.sum(g0 ** 2, axis=1))) * grid.dt[i]
     mu1 = c * math.exp(c * grid.horizon) * (1.0 + xi2 + s2 + integral)
     big_m = moment_bound_constant(c, gen.z_lipschitz, gen.z_fraction, grid.horizon)
-    return big_m, 2.0 * mu1, mu1
+    return big_m, 2.0 * mu1
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,16 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseEnsemble(g, np.zeros((9, 5, 2)), noise.b_increments)
 
+    @pytest.mark.parametrize("seed", [0, 99, -1, 2**63 + 5])
+    def test_path_k_is_its_philox_stream(self, seed):
+        g = build_grid(1.0, 12)
+        m, n = 20, g.num_steps
+        noise = sample_noise(g, m, d=2, seed=seed)
+        for k in (0, 7, m - 1):
+            bits = np.random.Philox(key=[seed & (2**64 - 1), k])
+            ref = np.random.Generator(bits).standard_normal((n, 2)) * np.sqrt(g.dt)[:, None]
+            assert np.array_equal(noise.w_increments[k], ref)
+
     def test_b_streams_differ(self):
         g = build_grid(1.0, 20)
         a = sample_noise(g, 5, seed=5, b_stream=0)

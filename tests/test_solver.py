@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,7 +224,10 @@ class TestBackwardScheme:
         iterations = table["gap"].shape[0]
         for col in table.values():
             assert col.shape == (iterations, fwd.paths.grid.num_steps + 1)
-        assert np.array_equal(table["mean_Y"][-1], np.mean(sol.y.values[:, :, 0], axis=0))
+        # the record sums the paths in path order, as np.mean does on a
+        # path-major copy; on the node-major public view np.mean sums pairwise
+        assert np.array_equal(table["mean_Y"][-1],
+                              np.mean(np.ascontiguousarray(sol.y.values[:, :, 0]), axis=0))
         assert sol.diagnostics["skorokhod_residual"] == table["skorokhod_partial"][-1, -1]
 
     def test_gap_history_is_the_row_maxima(self, small_noise):
@@ -474,6 +478,51 @@ class TestComparison:
         with pytest.raises(ComparisonSetupError):
             comparison_experiment(p, other, fwd, noise, BASIS, SolverConfig())
 
+    def test_node_statistics_sum_in_path_order(self):
+        # np.mean and np.std of path-major copies, on a case whose positive
+        # part is nonzero at some nodes
+        p = builtin_problem("american-put-like")
+        noise = sample_noise(build_grid(p.horizon, 20), 3000, seed=5)
+        fwd = simulate_forward(p, 0.0, p.spot, noise)
+        upper = shifted_problem(p, "terminal", 0.01)
+        rep = comparison_experiment(p, upper, fwd, noise, BASIS, SolverConfig())
+        ys = [np.ascontiguousarray(picard_solve(q, fwd, noise, BASIS, SolverConfig())[0]
+                                   .y.values[:, :, 0]) for q in (p, upper)]
+        diff = ys[0] - ys[1]
+        assert rep.max_mean_positive_part > 0.0
+        assert np.array_equal(rep.node_means, np.mean(np.maximum(diff, 0.0), axis=0))
+        assert np.array_equal(rep.node_stderr,
+                              np.std(diff, axis=0) / math.sqrt(noise.num_paths))
+
+
+class TestPathMean:
+    @pytest.mark.parametrize("m", [1, 4095, 4096, 4097, 10_000])
+    def test_equals_mean_of_a_path_major_array(self, rng, m):
+        a = rng.normal(size=(m, 7))
+        expect = np.mean(a, axis=0)
+        assert np.array_equal(rbdsde.solver._path_mean(np.asarray, a), expect)
+        node_major = np.ascontiguousarray(a.T).T
+        assert np.array_equal(rbdsde.solver._path_mean(np.asarray, node_major), expect)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("name", ["paper-1-4", "lipschitz-linear", "american-put-like",
+                                      "log-modulus"])
+    def test_picard_solve_peak_in_full_arrays(self, name):
+        # noise and paths exist before tracing; the solve's own peak (obstacle,
+        # previous and current Y, Z, K, and the check of K) stays under 7
+        p = builtin_problem(name)
+        m, n = 20_000, 20
+        noise = sample_noise(build_grid(p.horizon, n), m, seed=3)
+        fwd = simulate_forward(p, 0.0, p.spot, noise)
+        tracemalloc.start()
+        try:
+            picard_solve(p, fwd, noise, RegressionBasis(bins=8), SolverConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (m * (n + 1) * 8) <= 7.0
+
 
 class TestMajorantGap:
     def test_zero_modulus_y_free(self, small_noise):
@@ -492,7 +541,7 @@ class TestMajorantGap:
         noise = sample_noise(grid, 8000, seed=23)
         fwd = simulate_forward(p, 0.0, p.spot, noise)
         sol, _, _ = picard_solve(p, fwd, noise, BASIS, SolverConfig(picard_tol=1e-8))
-        big_m, m1, _ = majorant_inputs(p, fwd, noise, c=1.0)
+        big_m, m1 = majorant_inputs(p, fwd, noise, c=1.0)
         maj = majorant_sequence(p.generators.modulus, big_m, m1, grid, n_max=16)
         rep = picard_gap_vs_majorant(sol.diagnostics["per_iteration"]["gap"], maj)
         assert rep.all_within
