@@ -505,6 +505,10 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     ]
     (out / "compare.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
+    if not rep.both_converged:
+        print(f"a solve of the pair did not converge in {cfg.solver.picard_max_iter} "
+              f"iterations; comparison written to {out / 'compare.txt'}", file=sys.stderr)
+        return _EXIT_NOCONV
     return _EXIT_OK if rep.within() else 1
 
 

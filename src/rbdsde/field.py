@@ -2,9 +2,9 @@
 path, the transform eta (with y-inverse epsilon) that removes the backward
 noise, and the monotone envelope approximation fields.
 
-Every field point (t, x) is an independent solver run started at (t, x) with
-the forward state frozen below t; all points share one noise ensemble and
-one B path, so spatial differences of u come out with low variance.
+Every field point (t, x) is an independent solver run started at (t, x) on
+the grid from t to T; all points share one noise ensemble and one B path, so
+spatial differences of u come out with low variance.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import numpy as np
 from .generators import EnvelopeRangeError, GeneratorSpec, ProblemSpec, lipschitz_envelope
 from .forward import simulate_forward
 from .paths import NoiseEnsemble, TimeGrid
-from .solver import RegressionBasis, SolverConfig, picard_solve
+from .solver import (GeneratorEvaluationError, RegressionBasis, SingularRegressionError,
+                     SolverConfig, picard_solve)
 
 __all__ = [
     "UnsupportedProblemError",
@@ -62,9 +63,12 @@ def evaluate_u_field(problem: ProblemSpec, space_points, times,
     """Evaluate u(t, x) = Y_t^{t,x} on the requested space-time grid.
 
     ``times`` must be grid nodes; z-dependent g is rejected (the field link
-    holds only for z-free backward-noise coefficients).  An envelope
-    generator queried outside its u grid raises EnvelopeRangeError naming
-    the field point.
+    holds only for z-free backward-noise coefficients).  A point (t, x)
+    below T is one Picard solve from x on the noise's grid from t to T,
+    whose start value is u(t, x); the terminal row is the terminal map.  A
+    non-finite generator, a singular regression or an envelope generator
+    queried outside its u grid raises its error with the field point named
+    after the node, which counts from t.
     """
     if problem.generators.g_depends_on_z:
         raise UnsupportedProblemError(
@@ -87,12 +91,13 @@ def evaluate_u_field(problem: ProblemSpec, space_points, times,
                 values[a, j] = float(problem.terminal(x[None, :])[0])
                 stderr[a, j] = 0.0
                 continue
-            fwd = simulate_forward(problem, t, x, noise)
+            rest = noise.from_node(idx)
+            fwd = simulate_forward(problem, t, x, rest)
             try:
-                sol, _, _ = picard_solve(problem, fwd, noise, basis, cfg, start_index=idx)
-            except EnvelopeRangeError as e:
-                raise EnvelopeRangeError(f"{e} at field point t={t}, x0={float(x[0])}") from e
-            values[a, j] = float(np.mean(sol.y.values[:, idx, 0]))
+                sol, _, _ = picard_solve(problem, fwd, rest, basis, cfg)
+            except (EnvelopeRangeError, GeneratorEvaluationError, SingularRegressionError) as e:
+                raise type(e)(f"{e} at field point t={t}, x0={float(x[0])}") from e
+            values[a, j] = float(np.mean(sol.y.values[:, 0, 0]))
             stderr[a, j] = sol.diagnostics["value_stderr"]
             if not sol.diagnostics["converged"]:
                 non_converged.append((t, float(x[0])))

@@ -19,9 +19,8 @@ __all__ = ["ForwardEnsemble", "simulate_forward", "FlowReport", "flow_continuity
 
 @dataclass(frozen=True, eq=False)
 class ForwardEnsemble:
-    """Simulated forward paths and the index of the grid node they start from."""
+    """Simulated forward paths on the noise ensemble's grid."""
 
-    start_index: int
     paths: ProcessSample
 
 
@@ -46,8 +45,7 @@ def simulate_forward(problem: ProblemSpec, t: float, x, noise: NoiseEnsemble) ->
         xi = vals[i]
         vals[i + 1] = (xi + problem.drift(xi) * dt[i]
                        + np.einsum("mij,mj->mi", problem.diffusion(xi), dw[i]))
-    return ForwardEnsemble(start_index=i0,
-                           paths=ProcessSample(grid=grid, values=vals.transpose(1, 0, 2)))
+    return ForwardEnsemble(paths=ProcessSample(grid=grid, values=vals.transpose(1, 0, 2)))
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,8 @@ def flow_continuity_test(problem: ProblemSpec, start_a, start_b, p: int,
     t_a, x_a = float(start_a[0]), np.atleast_1d(np.asarray(start_a[1], dtype=float))
     t_b, x_b = float(start_b[0]), np.atleast_1d(np.asarray(start_b[1], dtype=float))
     nodes = noise.grid.nodes
-    base = simulate_forward(problem, nodes[int(np.argmin(np.abs(nodes - t_a)))], x_a, noise)
+    t_0 = nodes[int(np.argmin(np.abs(nodes - t_a)))]
+    base = simulate_forward(problem, t_0, x_a, noise)
 
     scales = (1.0, 0.5, 0.25, 0.125)
     ests, denoms = [], []
@@ -89,7 +88,7 @@ def flow_continuity_test(problem: ProblemSpec, start_a, start_b, p: int,
         other = simulate_forward(problem, t_k, x_k, noise)
         diff = base.paths.values - other.paths.values
         sup = np.max(np.sqrt(np.sum(diff ** 2, axis=2)), axis=1)
-        dt_k = abs(t_k - nodes[base.start_index])
+        dt_k = abs(t_k - t_0)
         dx_k = float(np.sqrt(np.sum((x_k - x_a) ** 2)))
         ests.append(float(np.mean(sup ** p)))
         denoms.append(dt_k ** (p / 2) + dx_k ** p)

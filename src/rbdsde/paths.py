@@ -36,10 +36,10 @@ _B_STREAM_BASE = 1 << 62
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Discrete time mesh on [0, T], T being the last node.
+    """Discrete time mesh on [t0, T], t0 being the first node and T the last.
 
-    Nodes must start at 0 and be strictly increasing.  ``build_grid``
-    produces the uniform mesh; custom node vectors are allowed.
+    Nodes must be strictly increasing.  ``build_grid`` produces the uniform
+    mesh on [0, T]; custom node vectors are allowed.
     """
 
     nodes: np.ndarray
@@ -49,8 +49,6 @@ class TimeGrid:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("need a 1-D vector of at least two nodes")
-        if nodes[0] != 0.0:
-            raise ValueError("first node must be 0")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         nodes.setflags(write=False)
@@ -93,10 +91,12 @@ def build_grid(T: float, N: int) -> TimeGrid:
     return TimeGrid(np.linspace(0.0, float(T), int(N) + 1))
 
 
-def _key(seed: int, stream_id: int) -> list[int]:
+def _key(seed: int, stream_id: int) -> np.ndarray:
     # Counter-based generator: the (seed, stream) pair fully determines the
-    # draw, independent of call ordering or thread layout.
-    return [int(seed) & (2**64 - 1), int(stream_id)]
+    # draw, independent of call ordering or thread layout.  A uint64 array
+    # keeps every bit; numpy would pass a list through float64 once an entry
+    # reaches 2**63.
+    return np.array([int(seed) & (2**64 - 1), int(stream_id)], dtype=np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +136,14 @@ class NoiseEnsemble:
     @property
     def ell(self) -> int:
         return self.b_increments.shape[1]
+
+    def from_node(self, i: int) -> NoiseEnsemble:
+        """The ensemble on the grid from node ``i`` (i < N) on: views of the
+        increments of steps i, ..., N-1, nothing copied."""
+        if not 0 <= i < self.grid.num_steps:
+            raise ValueError(f"need a node in [0, {self.grid.num_steps}), got {i}")
+        return NoiseEnsemble(TimeGrid(self.grid.nodes[i:]), self.w_increments[:, i:],
+                             self.b_increments[i:])
 
     def b_path(self) -> np.ndarray:
         """Cumulative B path, shape (N+1, l), starting at 0."""

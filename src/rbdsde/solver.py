@@ -254,15 +254,14 @@ def _check_finite(arr: np.ndarray, what: str, node: int):
 
 def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble,
                         noise: NoiseEnsemble, plan: RegressionPlan,
-                        cfg: SolverConfig, start_index: int = 0, *,
+                        cfg: SolverConfig, *,
                         obstacle: np.ndarray | None) -> SolutionTriple:
     """One backward sweep with the generator y-arguments frozen at ``frozen_y``.
 
-    ``frozen_y`` is an (M, N+1) array on the same grid, ``plan`` a
-    regression plan of ``forward``'s paths, and ``obstacle`` the (M, N+1)
+    The sweep runs over every step of the noise's grid, from T back to its
+    first node.  ``frozen_y`` is an (M, N+1) array on the same grid, ``plan``
+    a regression plan of ``forward``'s paths, and ``obstacle`` the (M, N+1)
     obstacle process of ``obstacle_values`` (None without an obstacle).
-    Values before ``start_index`` replicate the start-node solution (the
-    standard extension below the start time).
 
     Y, Z and K are stored node-major, (N+1, M[, d]), and returned as
     (M, N+1, dim) views; inputs stored node-major (as ``simulate_forward``,
@@ -300,7 +299,7 @@ def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble
     # which the post-regression spread of Y would understate
     rollout = y[n_steps].copy()
 
-    for i in range(n_steps - 1, start_index - 1, -1):
+    for i in range(n_steps - 1, -1, -1):
         if cfg.z_scheme == "regression":
             zi = plan.fit(i, y[i + 1][:, None] * dw[i]) / dt[i]
         else:
@@ -320,10 +319,8 @@ def solve_frozen_rbdsde(problem: ProblemSpec, frozen_y, forward: ForwardEnsemble
         rollout += f_i * dt[i] + g_i @ db[i] + k[i + 1]
 
     value_stderr = float(np.std(rollout) / math.sqrt(m))
-    for i in range(start_index + 1, n_steps):
+    for i in range(1, n_steps):
         k[i + 1] += k[i]
-    if start_index > 0:
-        y[:start_index] = y[start_index]
 
     return SolutionTriple(
         y=ProcessSample(grid=grid, values=y.T[:, :, None]),
@@ -399,8 +396,8 @@ def skorokhod_residual(sol: SolutionTriple, obstacle: np.ndarray | None) -> floa
 
 
 def picard_solve(problem: ProblemSpec, forward: ForwardEnsemble, noise: NoiseEnsemble,
-                 basis: RegressionBasis, cfg: SolverConfig,
-                 start_index: int = 0) -> tuple[SolutionTriple, int, list[float]]:
+                 basis: RegressionBasis,
+                 cfg: SolverConfig) -> tuple[SolutionTriple, int, list[float]]:
     """Outer iteration freezing y at the previous sweep, from Y^0 = Z^0 = 0.
 
     Stops when the sup-over-nodes of the empirical mean of |Y^n - Y^{n-1}|^2
@@ -421,8 +418,7 @@ def picard_solve(problem: ProblemSpec, forward: ForwardEnsemble, noise: NoiseEns
     for iterations in range(1, cfg.picard_max_iter + 1):
         # drop the last iterate's Z and K before the sweep allocates its own
         sol = None
-        sol = solve_frozen_rbdsde(problem, prev, forward, noise, plan, cfg,
-                                  start_index=start_index, obstacle=obstacle)
+        sol = solve_frozen_rbdsde(problem, prev, forward, noise, plan, cfg, obstacle=obstacle)
         ycur = sol.y.values[:, :, 0]
         profile = _path_mean(lambda a, b: (a - b) ** 2, ycur, prev)
         rows.append({

@@ -6,7 +6,10 @@ In traced mode ``bench/run.py`` requires that ``Tracer.install`` finds every
 returns.  Renaming a traced function, or running a sweep outside
 ``picard_solve``'s count, fails the benchmark; these tests fail first.  The
 tracer counts path steps from a sweep's fourth positional argument (the
-noise) and its seventh or ``start_index``; an array there breaks the count.
+noise), whose grid starts at the solve's start node, and from a seventh or
+``start_index`` if one is passed; an array there breaks the count.  Rounds
+repeat the same inputs, so every traced count and every output byte must
+repeat: no cache may outlive a ``cli.main`` call.
 The ``analytic`` workload reads its shooting metrics from the traced
 ``modulus.solve_ivp``, which the uniqueness check calls once.
 """
@@ -29,19 +32,29 @@ def test_traced_field_keeps_the_benchmark_contract(tmp_path, monkeypatch):
     monkeypatch.delenv("RBDSDE_OUT", raising=False)
     tracer = tracing.Tracer()
     tracer.install()
+    rounds = []
     try:
-        begin = tracer.mark()
-        code = cli.main(["field", "--problem", "american-put-like", "--T", "0.5",
-                         "--N", "8", "--paths", "400", "--seed", "1",
-                         "--x-min", "70", "--x-max", "105", "--x-points", "2",
-                         "--times", "0.0", "0.25", "--out", str(tmp_path / "field")])
-        layers = tracer.layer_metrics(begin, tracer.mark())
+        for r in range(2):
+            begin = tracer.mark()
+            out = tmp_path / f"field{r}"
+            code = cli.main(["field", "--problem", "american-put-like", "--T", "0.5",
+                             "--N", "8", "--paths", "400", "--seed", "1",
+                             "--x-min", "70", "--x-max", "105", "--x-points", "2",
+                             "--times", "0.0", "0.25", "--out", str(out)])
+            rounds.append((code, tracer.layer_metrics(begin, tracer.mark()),
+                           (out / "field.csv").read_bytes()))
     finally:
         tracer.uninstall()
-    assert code == 0
-    assert layers["solver.sweeps"] > 0
-    assert layers["solver.sweeps"] == layers["_iterations_returned"]
-    assert layers["field.points"] == 4
+    for code, layers, _ in rounds:
+        assert code == 0
+        assert layers["solver.sweeps"] > 0
+        assert layers["solver.sweeps"] == layers["_iterations_returned"]
+        assert layers["field.points"] == 4
+    (_, first, csv), (_, second, again) = rounds
+    counts = {key for key, val in first.items() if isinstance(val, int)}
+    assert {"solver.sweeps", "trace.spans", "generators.f_calls"} <= counts
+    assert {key: second[key] for key in counts} == {key: first[key] for key in counts}
+    assert again == csv
 
 
 def test_traced_shooting_is_one_integration():
@@ -68,9 +81,10 @@ def test_traced_sweeps_count_path_steps_from_the_start_node():
         s = 3
         problem = builtin_problem("lipschitz-linear")
         noise = sample_noise(build_grid(problem.horizon, 8), 400, seed=1)
-        fwd = simulate_forward(problem, float(noise.grid.nodes[s]), problem.spot, noise)
-        _, iterations, _ = solver.picard_solve(problem, fwd, noise, solver.RegressionBasis(bins=4),
-                                               solver.SolverConfig(), start_index=s)
+        rest = noise.from_node(s)
+        fwd = simulate_forward(problem, float(rest.grid.nodes[0]), problem.spot, rest)
+        _, iterations, _ = solver.picard_solve(problem, fwd, rest, solver.RegressionBasis(bins=4),
+                                               solver.SolverConfig())
     finally:
         tracer.uninstall()
     steps = tracer.counts["solver.path_steps"]

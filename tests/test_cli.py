@@ -475,6 +475,17 @@ class TestCompareCommand:
         assert code == 0
         assert "within_3_stderr: True" in (tmp_path / "out" / "compare.txt").read_text()
 
+    def test_non_convergence_exit(self, tmp_path, monkeypatch, capsys):
+        # one Picard sweep cannot converge on a y-dependent f: the ordering
+        # still holds, but the pair is not the equations' solution
+        f = write_config(tmp_path, {"solver": {"picard_max_iter": 1}})
+        code = run(["compare", "--problem", "lipschitz-linear", "--N", "16", "--paths", "1500",
+                    "--seed", "13", "--config", f], monkeypatch, tmp_path)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "within_3_stderr: True" in (tmp_path / "out" / "compare.txt").read_text()
+        assert captured.err.startswith("a solve of the pair did not converge in 1 iterations")
+
     SMALL = ["--problem", "lipschitz-linear", "--N", "8", "--paths", "300", "--seed", "3"]
 
     def test_shift_enters_the_hash(self, tmp_path, monkeypatch):

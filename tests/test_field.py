@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from rbdsde.field import (StepSizeError, UnsupportedProblemError, evaluate_u_fie
 from rbdsde.forward import simulate_forward
 from rbdsde.generators import builtin_problem
 from rbdsde.paths import build_grid, sample_noise
-from rbdsde.solver import RegressionBasis, SolverConfig
+from rbdsde.solver import (GeneratorEvaluationError, RegressionBasis, SingularRegressionError,
+                           SolverConfig, picard_solve)
 
 BASIS = RegressionBasis(kind="local-polynomial", bins=8, degree=1)
 CFG = SolverConfig()
@@ -51,6 +53,34 @@ class TestField:
         p = builtin_problem("paper-1-4")
         with pytest.raises(UnsupportedProblemError):
             evaluate_u_field(p, [0.0], [0.0], small_noise, BASIS, CFG)
+
+    def test_point_is_the_solve_from_its_node(self, small_noise):
+        # u(t, x) is the start value of the solve on the grid from t to T
+        p = builtin_problem("american-put-like")
+        fs = evaluate_u_field(p, [95.0], [small_noise.grid.nodes[30]], small_noise, BASIS, CFG)
+        rest = small_noise.from_node(30)
+        fwd = simulate_forward(p, float(rest.grid.nodes[0]), [95.0], rest)
+        sol, _, _ = picard_solve(p, fwd, rest, BASIS, CFG)
+        assert fs.values[0, 0] == float(np.mean(sol.y.values[:, 0, 0]))
+        assert fs.stderr[0, 0] == sol.diagnostics["value_stderr"]
+
+    def test_singular_regression_names_the_field_point(self, small_noise):
+        # every path starts at x, so the start node's design is singular; the
+        # node counts from t, and the message adds t and x
+        p = builtin_problem("lipschitz-linear")
+        t = float(small_noise.grid.nodes[7])
+        with pytest.raises(SingularRegressionError,
+                           match=rf"node 0, bin \d+ at field point t={t}, x0=0.5$"):
+            evaluate_u_field(p, [0.5], [t], small_noise, BASIS, SolverConfig(ridge=0.0))
+
+    def test_non_finite_generator_names_the_field_point(self, small_noise):
+        p = builtin_problem("lipschitz-linear")
+        bad = dataclasses.replace(p.generators, f=lambda t, x, y, z: np.full(len(y), np.nan))
+        p = dataclasses.replace(p, generators=bad)
+        t = float(small_noise.grid.nodes[20])
+        with pytest.raises(GeneratorEvaluationError,
+                           match=rf"node 19 at field point t={t}, x0=0.0$"):
+            evaluate_u_field(p, [0.0], [t], small_noise, BASIS, CFG)
 
     def test_zero_g_is_b_independent(self):
         # g = 0 removes every B term, so two B realizations agree bitwise
@@ -180,3 +210,21 @@ class TestMonotoneFields:
         with pytest.raises(ValueError, match="n=2 is below the admissible minimum 3"):
             monotone_field_sequence(p, [4, 2], [0.0], [0.0], noise, BASIS, CFG)
         assert calls == []
+
+
+class TestMemory:
+    def test_interior_point_peak_in_full_arrays(self):
+        # a point at T/2 solves on the last half of the grid; its peak
+        # (forward paths, obstacle and the Picard solve on that half) stays
+        # under 4.5 arrays of the whole grid's size
+        p = builtin_problem("american-put-like")
+        m, n = 20_000, 20
+        noise = sample_noise(build_grid(p.horizon, n), m, seed=3)
+        tracemalloc.start()
+        try:
+            evaluate_u_field(p, p.spot, [noise.grid.nodes[n // 2]], noise,
+                             RegressionBasis(bins=8), SolverConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (m * (n + 1) * 8) <= 4.5

@@ -30,7 +30,9 @@ class TestSimulate:
         t = small_noise.grid.nodes[10]
         fwd = simulate_forward(p, t, [1.5], small_noise)
         assert np.all(fwd.paths.values[:, :11] == 1.5)
-        assert fwd.start_index == 10
+        # from the start node on, the paths are those simulated on the grid from t
+        tail = simulate_forward(p, t, [1.5], small_noise.from_node(10))
+        assert np.array_equal(fwd.paths.values[:, 10:], tail.paths.values)
 
     def test_non_node_start_rejected(self, small_noise):
         p = builtin_problem("lipschitz-linear")

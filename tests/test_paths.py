@@ -40,8 +40,6 @@ class TestGrid:
     def test_custom_mesh_validation(self):
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 0.7, 0.5]))
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([0.1, 0.5, 1.0]))
 
     def test_custom_mesh_derives_horizon_and_steps(self):
         g = TimeGrid(np.array([0.0, 0.1, 0.4, 1.5]))
@@ -87,9 +85,38 @@ class TestNoise:
         m, n = 20, g.num_steps
         noise = sample_noise(g, m, d=2, seed=seed)
         for k in (0, 7, m - 1):
-            bits = np.random.Philox(key=[seed & (2**64 - 1), k])
+            bits = np.random.Philox(key=np.array([seed & (2**64 - 1), k], dtype=np.uint64))
             ref = np.random.Generator(bits).standard_normal((n, 2)) * np.sqrt(g.dt)[:, None]
             assert np.array_equal(noise.w_increments[k], ref)
+
+    @pytest.mark.filterwarnings("error")
+    def test_seeds_keep_all_their_bits(self):
+        g = build_grid(1.0, 12)
+        for a, b in ((-1, 0), (-5, -9)):
+            noise_a, noise_b = sample_noise(g, 3, seed=a), sample_noise(g, 3, seed=b)
+            assert not np.array_equal(noise_a.w_increments, noise_b.w_increments)
+            assert not np.array_equal(noise_a.b_increments, noise_b.b_increments)
+        b0 = sample_noise(g, 1, seed=2**63, b_stream=0).b_increments
+        b1 = sample_noise(g, 1, seed=2**63, b_stream=1).b_increments
+        assert not np.array_equal(b0, b1)
+
+    def test_from_node_is_the_tail_as_views(self):
+        g = build_grid(1.0, 12)
+        noise = sample_noise(g, 6, d=2, ell=2, seed=8)
+        for i in (0, 5, 11):
+            rest = noise.from_node(i)
+            assert np.array_equal(rest.grid.nodes, g.nodes[i:])
+            assert np.array_equal(rest.grid.dt, g.dt[i:])
+            assert rest.grid.horizon == g.horizon and rest.grid.num_steps == 12 - i
+            for view, part in ((rest.w_increments, noise.w_increments[:, i:]),
+                               (rest.b_increments, noise.b_increments[i:])):
+                # the very memory of the slice: same address, shape and strides
+                assert (view.__array_interface__["data"][0]
+                        == part.__array_interface__["data"][0])
+                assert (view.shape, view.strides) == (part.shape, part.strides)
+        for i in (-1, 12):
+            with pytest.raises(ValueError):
+                noise.from_node(i)
 
     def test_b_streams_differ(self):
         g = build_grid(1.0, 20)

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import (coarsen_noise, design_matrix, implicit_linear_reference,
                      linear_doubly_reference, plain_bsde_reference)
-from rbdsde.forward import simulate_forward
+from rbdsde.forward import ForwardEnsemble, simulate_forward
 from rbdsde.generators import (GeneratorSpec, ProblemSpec, builtin_problem,
                                expression_generator, shifted_problem)
 from rbdsde.modulus import lipschitz_modulus, majorant_sequence
@@ -16,7 +16,7 @@ import rbdsde.solver
 from rbdsde.solver import (ComparisonSetupError, GeneratorEvaluationError,
                            MajorantGapReport, RegressionBasis, RegressionPlan,
                            SingularRegressionError, SolutionTriple, SolverConfig,
-                           comparison_experiment, majorant_inputs, obstacle_values,
+                           comparison_experiment, obstacle_values,
                            picard_gap_vs_majorant, picard_solve, skorokhod_residual,
                            solve_frozen_rbdsde)
 
@@ -94,9 +94,9 @@ class TestRegressionPlan:
         monkeypatch.setattr(rbdsde.solver, "_bin_ids",
                             lambda *a: calls.append(1) or bin_ids(*a))
         p = brownian_problem()
-        fwd = simulate_forward(p, float(small_noise.grid.nodes[start]), [0.0], small_noise)
-        _, iterations, _ = picard_solve(p, fwd, small_noise, BASIS, SolverConfig(),
-                                        start_index=start)
+        rest = small_noise.from_node(start)
+        fwd = simulate_forward(p, float(rest.grid.nodes[0]), [0.0], rest)
+        _, iterations, _ = picard_solve(p, fwd, rest, BASIS, SolverConfig())
         assert iterations >= 2
         assert len(calls) == small_noise.grid.num_steps - start
 
@@ -132,8 +132,9 @@ class TestRegressionPlan:
         cfg = SolverConfig()
         used = sweep_plan(fwd)
         obstacle = obstacle_values(p, fwd)
-        solve_frozen_rbdsde(p, frozen, fwd, small_noise, used, cfg, start_index=7,
-                            obstacle=obstacle)
+        xs = fwd.paths.values[:, :, 0]
+        for i in range(small_noise.grid.num_steps - 1, 6, -1):
+            used.fit(i, xs[:, i + 1])
         ref = solve_frozen_rbdsde(p, frozen, fwd, small_noise, sweep_plan(fwd), cfg,
                                   obstacle=obstacle)
         sol = solve_frozen_rbdsde(p, frozen, fwd, small_noise, used, cfg, obstacle=obstacle)
@@ -143,12 +144,13 @@ class TestRegressionPlan:
     @pytest.mark.parametrize("basis", [RegressionBasis(kind="polynomial", degree=1), BASIS],
                              ids=lambda b: b.kind)
     def test_singular_start_node_named(self, small_noise, basis):
-        # the forward state is frozen at the start node, so its design is singular
-        s = 7
+        # every path starts at one state, so the start node's design is singular;
+        # nodes count from the first node of the solve's grid
         p = brownian_problem()
-        fwd = simulate_forward(p, float(small_noise.grid.nodes[s]), [0.0], small_noise)
-        with pytest.raises(SingularRegressionError, match=rf"node {s}\b"):
-            picard_solve(p, fwd, small_noise, basis, SolverConfig(ridge=0.0), start_index=s)
+        rest = small_noise.from_node(7)
+        fwd = simulate_forward(p, float(rest.grid.nodes[0]), [0.0], rest)
+        with pytest.raises(SingularRegressionError, match=r"node 0\b"):
+            picard_solve(p, fwd, rest, basis, SolverConfig(ridge=0.0))
 
 
 class TestConfig:
@@ -249,10 +251,13 @@ class TestBackwardScheme:
         grid = build_grid(1.0, 32)
         noise = sample_noise(grid, 4000, seed=21)
         fwd = simulate_forward(p, 0.0, [0.0], noise)
-        sol, _, _ = picard_solve(p, fwd, noise, RegressionBasis(kind="polynomial", degree=3),
-                                 SolverConfig(ridge=0.0), start_index=1)
+        # from node 1 on, where the paths have spread and ridge 0 is regular
+        rest = noise.from_node(1)
+        tail = ForwardEnsemble(ProcessSample(rest.grid, fwd.paths.values[:, 1:]))
+        sol, _, _ = picard_solve(p, tail, rest, RegressionBasis(kind="polynomial", degree=3),
+                                 SolverConfig(ridge=0.0))
         ref = plain_bsde_reference(p, fwd, noise, degree=3)
-        assert np.max(np.abs(sol.y.values[:, 1:, 0] - ref[:, 1:])) < 1e-10
+        assert np.max(np.abs(sol.y.values[:, :, 0] - ref[:, 1:])) < 1e-10
 
     def test_nan_generator_reports_node(self, small_noise):
         p = brownian_problem()
@@ -534,17 +539,6 @@ class TestMajorantGap:
         gaps = sol.diagnostics["per_iteration"]["gap"]
         assert np.all(gaps[1:] <= 1e-10)  # f is y-free: iterate 2 on repeats iterate 1
         assert picard_gap_vs_majorant(gaps, maj).all_within
-
-    def test_lipschitz_instance_within(self):
-        p = brownian_problem()
-        grid = build_grid(p.horizon, 100)
-        noise = sample_noise(grid, 8000, seed=23)
-        fwd = simulate_forward(p, 0.0, p.spot, noise)
-        sol, _, _ = picard_solve(p, fwd, noise, BASIS, SolverConfig(picard_tol=1e-8))
-        big_m, m1 = majorant_inputs(p, fwd, noise, c=1.0)
-        maj = majorant_sequence(p.generators.modulus, big_m, m1, grid, n_max=16)
-        rep = picard_gap_vs_majorant(sol.diagnostics["per_iteration"]["gap"], maj)
-        assert rep.all_within
 
     def test_binding_bookkeeping(self, small_grid):
         profiles = np.full((3, small_grid.num_steps + 1), 5e-4)
