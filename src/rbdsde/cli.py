@@ -2,8 +2,8 @@
 
 Subcommands: ``solve`` (backward solve with gap history and flatness
 report), ``field`` (u(t, x) evaluation, optionally with envelope brackets),
-``verify`` (the per-module verification suites) and ``compare``
-(ordered-pair comparison).
+``verify`` (the per-module verification suites) and ``compare`` (a
+problem against its own upward shift).
 
 One flat JSON config file describes an experiment; command-line flags win
 over the file, and the RBDSDE_OUT environment variable finally overrides the
@@ -33,7 +33,7 @@ from .field import UnsupportedProblemError, monotone_field_sequence, solve_doss_
 from .forward import flow_continuity_test, simulate_forward
 from .generators import (EnvelopeRangeError, builtin_problem, catalog_names,
                          check_h4_witness, envelope_property_check, expression_generator,
-                         shifted_problem, validate_problem)
+                         validate_problem)
 from .modulus import (builtin_condition_a_fixtures, condition_a_uniqueness_check,
                       majorant_sequence, verify_modulus_axioms)
 from .paths import build_grid, empirical_norm, sample_noise
@@ -81,6 +81,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
+        if not 0 <= self.b_stream < 1 << 62:  # sample_noise's range of B streams
+            raise ValueError(f"b_stream must be in [0, 2**62), got {self.b_stream}")
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,8 @@ class FieldConfig:
             raise ValueError("times must not be empty")
         if any(n < 1 for n in self.envelope_n):
             raise ValueError("every envelope_n must be >= 1")
+        if len(set(self.envelope_n)) < len(self.envelope_n):
+            raise ValueError(f"envelope_n must not repeat a value, got {list(self.envelope_n)}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,8 @@ class ExperimentConfig:
 
     def merged(self, data: dict) -> "ExperimentConfig":
         """This config with each section given laid over it: a section
-        replaces only the fields it names, each checked against its type."""
+        replaces only the fields it names, each checked against its type,
+        then by the section, then a float or float tuple for being finite."""
         names = [f.name for f in dataclasses.fields(self)]
         bad = set(data) - set(names)
         if bad:
@@ -168,6 +173,10 @@ class ExperimentConfig:
                 sections[name] = dataclasses.replace(current, **fixed)
             except ValueError as e:
                 raise ConfigError(f"section {name!r}: {e}") from None
+            # after the section's own checks, which name a NaN their own way
+            for key, val in fixed.items():
+                if hints[key] in (float, tuple[float, ...]) and not np.all(np.isfinite(val)):
+                    raise ConfigError(f"section {name!r}: {key} must be finite, got {val}")
         return dataclasses.replace(self, **sections)
 
     @staticmethod
@@ -344,8 +353,7 @@ def _suite_condition_a():
 
 def _suite_envelopes():
     problem = builtin_problem("paper-1-4")
-    rep = envelope_property_check(problem.generators, [4, 8], num_points=2000,
-                                  u_range=20.0, u_step=1e-3)
+    rep = envelope_property_check(problem.generators, [4, 8], num_points=2000, u_range=20.0)
     names = ["sandwich", "monotone", "growth", "xy_lipschitz", "z_lipschitz", "converges"]
     flags = [rep.sandwich_ok, rep.monotone_ok, rep.growth_ok,
              rep.xy_lipschitz_ok, rep.z_lipschitz_ok, rep.converges_ok]
@@ -358,12 +366,11 @@ def _suite_comparison():
     grid = build_grid(problem.horizon, 32)
     noise = sample_noise(grid, 4000, seed=1801)
     fwd = simulate_forward(problem, 0.0, problem.spot, noise)
-    basis = RegressionBasis(kind="local-polynomial", bins=8, degree=1)
+    basis = RegressionBasis(bins=8)
     solver_cfg = SolverConfig()
     checks = []
     for kind, amount in (("terminal", 1.0), ("obstacle", 0.5), ("generator", 0.5)):
-        other = shifted_problem(problem, kind, amount)
-        rep = comparison_experiment(problem, other, fwd, noise, basis, solver_cfg)
+        rep = comparison_experiment(problem, kind, amount, fwd, noise, basis, solver_cfg)
         checks.append((f"comparison.{kind}-shift", rep.within(),
                        f"max_mean_pos={rep.max_mean_positive_part:.3e}"))
     return checks
@@ -374,12 +381,11 @@ def _suite_skorokhod():
     grid = build_grid(problem.horizon, 50)
     noise = sample_noise(grid, 5000, seed=1802)
     fwd = simulate_forward(problem, 0.0, problem.spot, noise)
-    basis = RegressionBasis(kind="local-polynomial", bins=16, degree=1)
-    sol, _, _ = picard_solve(problem, fwd, noise, basis, SolverConfig())
+    sol, _, _ = picard_solve(problem, fwd, noise, RegressionBasis(), SolverConfig())
     obstacle = obstacle_values(problem, fwd)
     residual = skorokhod_residual(sol, obstacle)
     yv = sol.y.values[:, :, 0]
-    bound = 1e-2 * empirical_norm(sol.y, "S2") * float(np.mean(sol.k.values[:, -1, 0]))
+    bound = 1e-2 * empirical_norm(sol.y) * float(np.mean(sol.k.values[:, -1, 0]))
     dominance = float(np.min(yv - obstacle))
     dk = np.diff(sol.k.values[:, :, 0], axis=1)
     off_contact = int(np.sum((yv[:, :-1] > obstacle[:, :-1] + 1e-12) & (dk > 0)))
@@ -414,8 +420,8 @@ def _suite_flow():
     problem = builtin_problem("lipschitz-linear")
     grid = build_grid(1.0, 256)
     noise = sample_noise(grid, 4000, seed=1804)
-    spatial = flow_continuity_test(problem, (0.0, [0.0]), (0.0, [1.0]), 2, noise)
-    temporal = flow_continuity_test(problem, (0.0, [0.0]), (0.5, [0.0]), 2, noise)
+    spatial = flow_continuity_test(problem, (0.0, [0.0]), (0.0, [1.0]), noise)
+    temporal = flow_continuity_test(problem, (0.0, [0.0]), (0.5, [0.0]), noise)
     slope_err = abs(temporal.slope - 1.0)
     return [
         ("flow.spatial-ratio-stable", spatial.stable,
@@ -449,9 +455,9 @@ def _suite_majorant():
     grid = build_grid(problem.horizon, 100)
     noise = sample_noise(grid, 8000, seed=23)
     fwd = simulate_forward(problem, 0.0, problem.spot, noise)
-    basis = RegressionBasis(kind="local-polynomial", bins=8, degree=1)
-    sol, iterations, _ = picard_solve(problem, fwd, noise, basis, SolverConfig(picard_tol=1e-8))
-    big_m, m1 = majorant_inputs(problem, fwd, noise, c=1.0)
+    sol, iterations, _ = picard_solve(problem, fwd, noise, RegressionBasis(bins=8),
+                                      SolverConfig(picard_tol=1e-8))
+    big_m, m1 = majorant_inputs(problem, fwd, noise)
     majorant = majorant_sequence(problem.generators.modulus, big_m, m1, grid, n_max=16)
     rep = picard_gap_vs_majorant(sol.diagnostics["per_iteration"]["gap"], majorant)
     return [
@@ -493,8 +499,8 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     problem, noise = _assemble(cfg)
     fwd = simulate_forward(problem, 0.0, problem.spot, noise)
     shift = cfg.comparison
-    other = shifted_problem(problem, shift.shift, shift.amount)
-    rep = comparison_experiment(problem, other, fwd, noise, cfg.basis, cfg.solver)
+    rep = comparison_experiment(problem, shift.shift, shift.amount, fwd, noise, cfg.basis,
+                                cfg.solver)
     out = _out_dir(cfg)
     _write_provenance(cfg, "compare", out)
     lines = [
@@ -545,7 +551,7 @@ _COMMANDS = {
     "solve": ("run the backward solver", _EXPERIMENT, cmd_solve),
     "field": ("evaluate the u(t, x) field", _EXPERIMENT + ("field_eval",), cmd_field),
     "verify": ("run a verification suite", ("outputs",), cmd_verify),
-    "compare": ("ordered-pair comparison experiment", _EXPERIMENT + ("comparison",),
+    "compare": ("compare a problem with its upward shift", _EXPERIMENT + ("comparison",),
                 cmd_compare),
 }
 

@@ -1,5 +1,5 @@
 """Time grids, seeded Brownian noise ensembles, discrete process containers,
-and empirical estimators of the S2 / M2 / A2 norms.
+and the empirical S2 norm.
 
 Two independent Brownian motions drive everything downstream: W (forward,
 d-dimensional, one increment stream per Monte Carlo path) and B (backward,
@@ -80,12 +80,12 @@ def build_grid(T: float, N: int) -> TimeGrid:
     Parameters
     ----------
     T : float
-        Horizon, strictly positive.
+        Horizon, strictly positive and finite.
     N : int
         Number of steps, at least 1.
     """
-    if not T > 0:  # NaN fails too
-        raise ValueError(f"horizon must be positive, got {T}")
+    if not 0 < T < np.inf:  # NaN fails too
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     if N < 1:
         raise ValueError(f"need at least one step, got {N}")
     return TimeGrid(np.linspace(0.0, float(T), int(N) + 1))
@@ -166,11 +166,14 @@ def sample_noise(grid: TimeGrid, num_paths: int, d: int = 1, ell: int = 1,
     seed : int
         Master seed; identical seeds reproduce the ensemble bit for bit.
     b_stream : int
-        Index of the B realization; use 0, 1, ... to loop over independent
-        B paths in batch experiments without touching the W streams.
+        Index of the B realization, in [0, 2**62); use 0, 1, ... to loop
+        over independent B paths in batch experiments without touching the W
+        streams.
     """
     if num_paths < 1 or d < 1 or ell < 1:
         raise ValueError("num_paths, d and ell must all be >= 1")
+    if not 0 <= b_stream < _B_STREAM_BASE:  # outside, B would reuse a W stream or overflow
+        raise ValueError(f"b_stream must be in [0, 2**62), got {b_stream}")
     N = grid.num_steps
     scale = np.sqrt(grid.dt)[:, None]
     # one generator, re-keyed per path: path k draws from key [seed, k]
@@ -208,20 +211,8 @@ class ProcessSample:
         vals.setflags(write=False)
 
 
-def empirical_norm(p: ProcessSample, kind: str) -> float:
-    """Empirical norm estimator over the whole grid.
-
-    kind "S2": mean over paths of the running sup of |.|^2;
-    kind "M2": mean over paths of the left-endpoint time integral of ||.||^2;
-    kind "A2": mean over paths of the squared value at the last node.
-    """
-    if p.values.size == 0:
-        raise ValueError("empty sample")
+def empirical_norm(p: ProcessSample) -> float:
+    """Empirical S2 norm over the whole grid: the mean over paths of the
+    running sup of |.|^2."""
     sq = np.sum(p.values ** 2, axis=2)
-    if kind == "S2":
-        return float(np.mean(np.max(sq, axis=1)))
-    if kind == "M2":
-        return float(np.mean(np.sum(sq[:, :-1] * p.grid.dt, axis=1)))
-    if kind == "A2":
-        return float(np.mean(sq[:, -1]))
-    raise ValueError(f"unknown norm kind {kind!r}")
+    return float(np.mean(np.max(sq, axis=1)))

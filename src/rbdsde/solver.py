@@ -29,14 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forward import ForwardEnsemble
-from .generators import ProblemSpec
+from .generators import ProblemSpec, shifted_problem
 from .modulus import MajorantSequence, moment_bound_constant
 from .paths import NoiseEnsemble, ProcessSample
 
 __all__ = [
     "SingularRegressionError",
     "GeneratorEvaluationError",
-    "ComparisonSetupError",
     "RegressionBasis",
     "RegressionPlan",
     "SolverConfig",
@@ -52,10 +51,8 @@ __all__ = [
     "picard_gap_vs_majorant",
 ]
 
-# comparison_experiment spot-checks its ordering preconditions on this many
-# sampled arguments, allowing _ORDER_TOL of rounding
-_ORDER_SAMPLES = 512
-_ORDER_TOL = 1e-9
+# majorant_inputs' constant c, see there
+_MAJORANT_C = 1.0
 # picard_gap_vs_majorant allows a gap to exceed its majorant by this much
 _GAP_TOL = 1e-3
 # a SolutionTriple's K may start off 0 or step down by this much of rounding
@@ -73,21 +70,16 @@ class GeneratorEvaluationError(RuntimeError):
     value; the message names the node."""
 
 
-class ComparisonSetupError(ValueError):
-    """The ordered-comparison preconditions failed on sampled arguments."""
-
-
 @dataclass(frozen=True)
 class RegressionBasis:
     """Finite basis of the state used to project on the forward filtration.
 
-    Every kind is the local-polynomial family: all monomials of total degree
-    <= ``degree`` in the standardized state, fitted separately inside each of
-    ``bins`` boxes per dimension.  Bin edges follow the per-dimension sample
-    quantiles, which equalizes the per-box sample mass.  The other kinds are
-    shorthand, normalised at construction: "polynomial" is one box
-    (``bins`` becomes 1) and "piecewise-constant" is degree 0 (``degree``
-    becomes 0).
+    The local-polynomial family: all monomials of total degree <= ``degree``
+    in the standardized state, fitted separately inside each of ``bins``
+    boxes per dimension.  Bin edges follow the per-dimension sample
+    quantiles, which equalizes the per-box sample mass.  One box is a global
+    polynomial and degree 0 a piecewise constant.  ``kind`` names the family
+    and accepts only "local-polynomial".
     """
 
     kind: str = "local-polynomial"
@@ -95,12 +87,8 @@ class RegressionBasis:
     bins: int = 16
 
     def __post_init__(self):
-        if self.kind not in ("polynomial", "piecewise-constant", "local-polynomial"):
+        if self.kind != "local-polynomial":
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "polynomial":
-            object.__setattr__(self, "bins", 1)
-        elif self.kind == "piecewise-constant":
-            object.__setattr__(self, "degree", 0)
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
         if self.bins < 1:
@@ -456,48 +444,20 @@ class ComparisonReport:
         return bool(np.all(self.node_means <= 3.0 * self.node_stderr))
 
 
-def comparison_experiment(problem1: ProblemSpec, problem2: ProblemSpec,
+def comparison_experiment(problem: ProblemSpec, kind: str, amount: float,
                           forward: ForwardEnsemble, noise: NoiseEnsemble,
                           basis: RegressionBasis, cfg: SolverConfig) -> ComparisonReport:
-    """Solve an ordered pair on shared noise and measure (Y1 - Y2)^+.
+    """Solve ``problem`` and its ``shifted_problem`` by ``amount`` >= 0 in the
+    data map ``kind`` on shared noise, and measure (Y1 - Y2)^+.
 
-    The ordering preconditions (terminal, obstacle, generator f, identical g
-    and forward coefficients) are spot-checked on sampled arguments first;
-    violations raise ComparisonSetupError.
+    The shift raises one of the terminal value, the obstacle or f and leaves
+    g and the forward coefficients alone, so the pair is ordered by
+    construction and the comparison principle predicts Y1 <= Y2.
     """
-    rng = np.random.Generator(np.random.Philox(key=[77010, 0]))
-    grid = noise.grid
-    xs = forward.paths.values
-    pick_path = rng.integers(0, xs.shape[0], size=_ORDER_SAMPLES)
-    pick_node = rng.integers(0, xs.shape[1], size=_ORDER_SAMPLES)
-    x_smp = xs[pick_path, pick_node]
-    y_smp = rng.normal(0.0, 2.0, size=_ORDER_SAMPLES)
-    z_smp = rng.normal(0.0, 2.0, size=(_ORDER_SAMPLES, problem1.dim))
-    t_smp = float(rng.uniform(0.0, grid.horizon))
-
-    if float(np.max(problem1.terminal(x_smp) - problem2.terminal(x_smp))) > _ORDER_TOL:
-        raise ComparisonSetupError("terminal data are not ordered")
-    if problem1.obstacle is not None:
-        s1 = problem1.obstacle(t_smp, x_smp)
-        s2 = (problem2.obstacle(t_smp, x_smp) if problem2.obstacle is not None
-              else np.full(_ORDER_SAMPLES, -np.inf))
-        if float(np.max(s1 - s2)) > _ORDER_TOL:
-            raise ComparisonSetupError("obstacles are not ordered")
-    f_gap = (problem1.generators.f(t_smp, x_smp, y_smp, z_smp)
-             - problem2.generators.f(t_smp, x_smp, y_smp, z_smp))
-    if float(np.max(f_gap)) > _ORDER_TOL:
-        raise ComparisonSetupError("generators f are not ordered")
-    g_gap = np.abs(problem1.generators.g(t_smp, x_smp, y_smp, z_smp)
-                   - problem2.generators.g(t_smp, x_smp, y_smp, z_smp))
-    if float(np.max(g_gap)) > _ORDER_TOL:
-        raise ComparisonSetupError("generators g differ")
-    if (float(np.max(np.abs(problem1.drift(x_smp) - problem2.drift(x_smp)))) > _ORDER_TOL
-            or float(np.max(np.abs(problem1.diffusion(x_smp)
-                                   - problem2.diffusion(x_smp)))) > _ORDER_TOL):
-        raise ComparisonSetupError("forward coefficients differ; shared paths are invalid")
-
-    sol1, _, _ = picard_solve(problem1, forward, noise, basis, cfg)
-    sol2, _, _ = picard_solve(problem2, forward, noise, basis, cfg)
+    if not amount >= 0:  # NaN fails too
+        raise ValueError(f"shift amount must be >= 0, got {amount}")
+    sol1, _, _ = picard_solve(problem, forward, noise, basis, cfg)
+    sol2, _, _ = picard_solve(shifted_problem(problem, kind, amount), forward, noise, basis, cfg)
     diff = sol1.y.values[:, :, 0] - sol2.y.values[:, :, 0]
     # np.mean and np.std of a path-major diff, summed in the same order
     node_means = _path_mean(lambda d: np.maximum(d, 0.0), diff)
@@ -514,15 +474,16 @@ def comparison_experiment(problem1: ProblemSpec, problem2: ProblemSpec,
 
 
 def majorant_inputs(problem: ProblemSpec, forward: ForwardEnsemble,
-                    noise: NoiseEnsemble, c: float) -> tuple[float, float]:
+                    noise: NoiseEnsemble) -> tuple[float, float]:
     """Assemble (M, M1) for the gap majorant from empirical norms.
 
     mu1 = c e^{cT} (1 + E|xi|^2 + E sup|S|^2 + E int |f(s,0,0)|^2 +
     |g(s,0,0)|^2 ds) measured along the forward paths; M is the moment-bound
-    constant and M1 = 2 mu1.  The constant c is caller-supplied: the theory
-    guarantees its existence as a function of (alpha, T, C) without naming
-    it.
+    constant and M1 = 2 mu1.  The constant c is _MAJORANT_C = 1, not derived:
+    the theory guarantees its existence as a function of (alpha, T, C)
+    without naming it.
     """
+    c = _MAJORANT_C
     gen = problem.generators
     grid = noise.grid
     xs = forward.paths.values

@@ -71,14 +71,11 @@ def design_matrix(basis, state):
     powers = [p for p in itertools.product(range(basis.degree + 1), repeat=d)
               if sum(p) <= basis.degree]
     mono = np.column_stack([np.prod(s ** np.array(p), axis=1) for p in powers])
-    if basis.kind == "polynomial":
-        return mono
     ids = np.zeros(m, dtype=int)
     for j in range(d):
         edges = np.quantile(state[:, j], np.linspace(0.0, 1.0, basis.bins + 1)[1:-1])
         ids = ids * basis.bins + np.digitize(state[:, j], edges)
-    local = np.ones((m, 1)) if basis.kind == "piecewise-constant" else mono
-    return np.hstack([(ids == b)[:, None] * local for b in np.unique(ids)])
+    return np.hstack([(ids == b)[:, None] * mono for b in np.unique(ids)])
 
 
 def plain_bsde_reference(problem, forward, noise, degree):

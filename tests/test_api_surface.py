@@ -8,7 +8,9 @@ in the code as a constant.  Calls in ``tests/`` do not count: a setting that
 only a test varies has no user.  A call that only hands on another such
 parameter unchanged, or passes a literal equal to the default, does not
 count as setting it.  A parameter of a private helper that every call
-passes as the same literal is a constant in the same way.  A parameter of a
+passes as the same literal is a constant in the same way, and so is a
+parameter of a public function or method, defaulted or not, that every call
+passes as the same scalar literal.  A parameter of a
 public function or method that its body never reads is an argument every
 caller writes for nothing.  A public function or method that no code in
 ``src/`` or ``bench/`` refers to, by a call or by handing its name on, has
@@ -26,10 +28,15 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rbdsde"
 SCANNED = ("src", "bench")
 NOT_LITERAL = object()
-# bench/workloads.py passes these by keyword, always with the default, so
-# they stay until the benchmark's workloads stop passing them
+# bench/workloads.py passes these by keyword, always with the default or
+# with the one value every call uses, so they stay until the benchmark's
+# workloads stop passing them
 KEPT_FOR_BENCH = ("generators.envelope_property_check(growth_c)",
-                  "generators.envelope_property_check(growth_phi)")
+                  "generators.envelope_property_check(growth_phi)",
+                  "generators.envelope_property_check(num_points)",
+                  "modulus.condition_a_uniqueness_check(M)",
+                  "modulus.condition_a_uniqueness_check(T)",
+                  "modulus.horizon_partition(M)")
 
 
 class Literal(NamedTuple):
@@ -89,11 +96,14 @@ def _private_helpers(tree: ast.Module, module: str):
                     yield f"{module}.{node.name}.{item.name}", item, True
 
 
-def _helper_parameters():
-    """{(qualified name, called name): [(parameter, position or None), ...]}."""
+def _written_parameters(functions, root: Path = ROOT):
+    """{(qualified name, called name): [(parameter, position or None), ...]}
+    of every parameter a caller writes, over the functions that
+    ``functions`` (``_public_functions`` or ``_private_helpers``) yields in
+    the package under ``root``."""
     out = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for qualified, fn, is_method in _private_helpers(ast.parse(path.read_text()), path.stem):
+    for path in sorted((root / "src" / "rbdsde").glob("*.py")):
+        for qualified, fn, is_method in functions(ast.parse(path.read_text()), path.stem):
             params = [(a.arg, i) for i, a in enumerate(_written(fn, is_method))]
             params += [(a.arg, None) for a in fn.args.kwonlyargs]
             if params:
@@ -230,10 +240,11 @@ def _unread_parameters(tree: ast.Module, module: str):
     return out
 
 
-def _constant_arguments(params, calls):
-    """``qualified(parameter=value)`` of each parameter that every call passes,
-    by keyword or by position, as one and the same literal."""
-    out = []
+def _constant_arguments(params, calls, scalars_only=False):
+    """{``qualified(parameter)``: value} of each parameter that every call
+    passes, by keyword or by position, as one and the same literal; with
+    ``scalars_only``, a literal that is not a tuple, list, dict or set."""
+    out = {}
     for (qualified, called), named in sorted(params.items()):
         sites = calls.get(called, ())
         for name, position in named:
@@ -246,9 +257,15 @@ def _constant_arguments(params, calls):
                 else:
                     passed.append(None)
             if (passed and all(isinstance(src, Literal) for src in passed)
-                    and all(src == passed[0] for src in passed)):
-                out.append(f"{qualified}({name}={passed[0].value!r})")
+                    and all(src == passed[0] for src in passed)
+                    and not (scalars_only
+                             and isinstance(passed[0].value, (tuple, list, dict, set)))):
+                out[f"{qualified}({name})"] = passed[0].value
     return out
+
+
+def _listed(found: dict) -> str:
+    return ", ".join(f"{name[:-1]}={value!r})" for name, value in found.items())
 
 
 def test_scan_sees_keyword_positional_and_pass_through():
@@ -284,7 +301,6 @@ def test_scan_counts_no_call_from_the_tests(tmp_path):
 
 def test_every_defaulted_parameter_has_a_caller():
     missing = _unset(_public_parameters(), _calls())
-    assert all(name in missing for name in KEPT_FOR_BENCH), missing
     missing = [name for name in missing if name not in KEPT_FOR_BENCH]
     assert not missing, ("defaulted parameters that no call in src/ or bench/ "
                          f"sets ({len(missing)}): " + ", ".join(missing))
@@ -314,16 +330,43 @@ def test_every_public_function_has_a_caller():
 def test_scan_flags_a_helper_argument_that_never_varies():
     params = {("m._h", "_h"): [("a", 0), ("b", 1)]}
     same_b = [([None, Literal(1)], {}), ([None], {"b": Literal(1)})]
-    assert _constant_arguments(params, {"_h": same_b}) == ["m._h(b=1)"]
-    assert _constant_arguments(params, {"_h": same_b + [([None], {})]}) == []
-    assert _constant_arguments(params, {"_h": same_b + [([None, Literal(2)], {})]}) == []
+    assert _constant_arguments(params, {"_h": same_b}) == {"m._h(b)": 1}
+    assert _constant_arguments(params, {"_h": same_b + [([None], {})]}) == {}
+    assert _constant_arguments(params, {"_h": same_b + [([None, Literal(2)], {})]}) == {}
 
 
 def test_no_helper_argument_is_always_the_same_literal():
-    constant = _constant_arguments(_helper_parameters(), _calls())
+    constant = _constant_arguments(_written_parameters(_private_helpers), _calls())
     assert not constant, ("private helper parameters that every call in src/ or bench/ "
-                          f"passes as one literal ({len(constant)}): "
-                          + ", ".join(constant))
+                          f"passes as one literal ({len(constant)}): " + _listed(constant))
+
+
+def test_scan_flags_a_public_argument_that_never_varies(tmp_path):
+    package = tmp_path / "src" / "rbdsde"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(
+        "def f(a, b, c=1, *, d):\n    pass\n"
+        "def g(u, v=2):\n    return f(u, 2, c=v, d=(1, 2))\n"
+        "class K:\n    def m(self, w):\n        pass\n")
+    for top, use in (("tests", "f(0, 3, d=(1, 2))\nK().m('y')\n"),
+                     ("bench", "f(1, 2, 5, d=(1, 2))\nK().m('x')\n")):
+        (tmp_path / top).mkdir()
+        (tmp_path / top / "use.py").write_text(use)
+    params = _written_parameters(_public_functions, tmp_path)
+    calls = _calls(tmp_path)
+    assert _constant_arguments(params, calls, scalars_only=True) == {"m.f(b)": 2, "m.K.m(w)": "x"}
+    assert _constant_arguments(params, calls) == {"m.f(b)": 2, "m.f(d)": (1, 2), "m.K.m(w)": "x"}
+
+
+def test_no_public_argument_is_always_the_same_scalar():
+    constant = _constant_arguments(_written_parameters(_public_functions), _calls(),
+                                   scalars_only=True)
+    unset = _unset(_public_parameters(), _calls())
+    stale = [name for name in KEPT_FOR_BENCH if name not in constant and name not in unset]
+    assert not stale, f"KEPT_FOR_BENCH names parameters that now vary: {stale}"
+    constant = {name: v for name, v in constant.items() if name not in KEPT_FOR_BENCH}
+    assert not constant, ("public parameters that every call in src/ or bench/ passes as one "
+                          f"scalar literal ({len(constant)}): " + _listed(constant))
 
 
 def test_scan_flags_a_parameter_the_body_never_reads():

@@ -6,8 +6,11 @@ In traced mode ``bench/run.py`` requires that ``Tracer.install`` finds every
 returns.  Renaming a traced function, or running a sweep outside
 ``picard_solve``'s count, fails the benchmark; these tests fail first.  The
 tracer counts path steps from a sweep's fourth positional argument (the
-noise), whose grid starts at the solve's start node, and from a seventh or
-``start_index`` if one is passed; an array there breaks the count.  Rounds
+noise), whose grid starts at the solve's start node; with the sweep's six
+positional parameters that is all it reads.  It still takes a seventh
+positional argument, if one is passed, as a start index to subtract, so a
+seventh positional parameter on ``solve_frozen_rbdsde`` would corrupt the
+path-step count.  Rounds
 repeat the same inputs, so every traced count and every output byte must
 repeat: no cache may outlive a ``cli.main`` call.
 The ``analytic`` workload reads its shooting metrics from the traced

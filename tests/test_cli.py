@@ -40,7 +40,7 @@ class TestConfig:
             problem=ProblemConfig(name="paper-1-4", overrides=(("C", 2.0), ("alpha", 0.5))),
             grid=GridConfig(T=0.75, N=40),
             monte_carlo=MonteCarloConfig(paths=1234, seed=99, b_stream=2),
-            basis=RegressionBasis(kind="polynomial", degree=4, bins=0),
+            basis=RegressionBasis(degree=4, bins=1),
             solver=SolverConfig(picard_tol=1e-6, z_scheme="finite-increment"),
         )
         again = ExperimentConfig.parse(cfg.render(SECTIONS))
@@ -100,9 +100,9 @@ class TestConfig:
         assert "config error: section 'basis': bins must be >= 1" in err
 
     def test_partial_section_keeps_defaults(self):
-        cfg = ExperimentConfig.parse(json.dumps({"basis": {"kind": "polynomial"},
+        cfg = ExperimentConfig.parse(json.dumps({"basis": {"degree": 2},
                                                  "grid": {"N": 8}}))
-        assert cfg.basis == RegressionBasis(kind="polynomial", degree=1, bins=16)
+        assert cfg.basis == RegressionBasis(degree=2, bins=16)
         assert cfg.grid == GridConfig(T=1.0, N=8)
         assert cfg.solver == SolverConfig()
 
@@ -144,6 +144,17 @@ class TestConfig:
         (["compare", "--amount", "nan"], None, "section 'comparison': amount must be >= 0"),
         (["field", "--x-min", "nan"], None, "section 'field_eval': x_min must be <= x_max"),
         (["compare", "--shift", "nope"], None, "section 'comparison': unknown shift kind 'nope'"),
+        # --bins 1 and --degree 0 say what these aliases said
+        (["solve"], {"basis": {"kind": "polynomial"}},
+         "section 'basis': unknown basis kind 'polynomial'"),
+        (["solve"], {"basis": {"kind": "piecewise-constant"}},
+         "section 'basis': unknown basis kind 'piecewise-constant'"),
+        (["field", "--envelope-n", "4", "4"], None,
+         "section 'field_eval': envelope_n must not repeat a value, got [4, 4]"),
+        (["solve"], {"monte_carlo": {"b_stream": -(1 << 62)}},
+         "section 'monte_carlo': b_stream must be in [0, 2**62)"),
+        (["solve"], {"monte_carlo": {"b_stream": 3 << 62}},
+         "section 'monte_carlo': b_stream must be in [0, 2**62)"),
     ])
     def test_bad_value_rejected_at_load(self, argv, data, message, tmp_path, monkeypatch,
                                         capsys):
@@ -151,6 +162,24 @@ class TestConfig:
             argv = argv + ["--config", write_config(tmp_path, data)]
         assert run(argv, monkeypatch, tmp_path) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, data, message", [
+        (["solve"], {"solver": {"ridge": float("nan")}}, "section 'solver': ridge must be finite"),
+        (["solve"], {"solver": {"picard_tol": float("nan")}},
+         "section 'solver': picard_tol must be finite"),
+        (["solve"], {"grid": {"T": float("inf")}},
+         "section 'grid': horizon must be positive and finite"),
+        (["field", "--x-max", "inf"], None, "section 'field_eval': x_max must be finite"),
+        (["compare", "--amount", "inf"], None, "section 'comparison': amount must be finite"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the message is the only report
+    def test_non_finite_float_rejected_at_load(self, argv, data, message, tmp_path,
+                                               monkeypatch, capsys):
+        if data is not None:
+            argv = argv + ["--config", write_config(tmp_path, data)]
+        assert run(argv, monkeypatch, tmp_path) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_field_times_checked_before_sampling(self, tmp_path, monkeypatch, capsys):
@@ -169,7 +198,7 @@ class TestConfig:
 
     def test_basis_flag_removed(self):
         # --bins 1 and --degree 0 say what the kind names polynomial and
-        # piecewise-constant say; the config file keeps basis.kind
+        # piecewise-constant said
         with pytest.raises(SystemExit) as exc:
             _build_parser().parse_args(["solve", "--basis", "polynomial"])
         assert exc.value.code == 2
@@ -356,7 +385,7 @@ class TestFieldCommand:
         problem = builtin_problem("lipschitz-linear", horizon=1.0)
         noise = sample_noise(build_grid(1.0, 8), 400, d=problem.dim,
                              ell=problem.generators.ell, seed=5)
-        basis = RegressionBasis(kind="local-polynomial", degree=1, bins=16)
+        basis = RegressionBasis()
         expected = []
         for n in (8, 4):
             for direction in ("lower", "upper"):
@@ -407,7 +436,7 @@ class TestFieldCommand:
         noise = sample_noise(build_grid(1.0, 8), 400, d=problem.dim,
                              ell=problem.generators.ell, seed=5)
         sample = evaluate_u_field(problem, np.linspace(-1.0, 1.0, 3), [0.0, 1.0], noise,
-                                  RegressionBasis(kind="local-polynomial", degree=1, bins=16),
+                                  RegressionBasis(),
                                   SolverConfig())
         assert [r.split(",")[2] for r in errors[1:]] == [
             repr(float(v)) for v in sample.stderr.ravel()]

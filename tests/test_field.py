@@ -14,7 +14,7 @@ from rbdsde.paths import build_grid, sample_noise
 from rbdsde.solver import (GeneratorEvaluationError, RegressionBasis, SingularRegressionError,
                            SolverConfig, picard_solve)
 
-BASIS = RegressionBasis(kind="local-polynomial", bins=8, degree=1)
+BASIS = RegressionBasis(bins=8)
 CFG = SolverConfig()
 
 

@@ -53,14 +53,14 @@ class TestSimulate:
 class TestFlow:
     def test_identical_starts(self, small_noise):
         p = builtin_problem("lipschitz-linear")
-        rep = flow_continuity_test(p, (0.0, [0.0]), (0.0, [0.0]), 2, small_noise)
+        rep = flow_continuity_test(p, (0.0, [0.0]), (0.0, [0.0]), small_noise)
         assert np.all(rep.estimates == 0.0)
         assert rep.stable
 
     def test_spatial_shift_constant_coefficients(self, small_noise):
         # constant drift/diffusion translate exactly: the ratio is exactly 1
         p = builtin_problem("lipschitz-linear")
-        rep = flow_continuity_test(p, (0.0, [0.0]), (0.0, [1.0]), 2, small_noise)
+        rep = flow_continuity_test(p, (0.0, [0.0]), (0.0, [1.0]), small_noise)
         assert np.allclose(rep.ratios, 1.0)
         assert rep.stable
         assert rep.slope == pytest.approx(2.0, abs=1e-6)
@@ -69,13 +69,8 @@ class TestFlow:
         p = builtin_problem("lipschitz-linear")
         grid = build_grid(1.0, 256)
         noise = sample_noise(grid, 20_000, seed=7)
-        rep = flow_continuity_test(p, (0.0, [0.0]), (0.5, [0.0]), 4, noise)
-        assert abs(rep.slope - 2.0) <= 0.15  # p/2 with p = 4
-
-    def test_odd_p_rejected(self, small_noise):
-        p = builtin_problem("lipschitz-linear")
-        with pytest.raises(ValueError):
-            flow_continuity_test(p, (0.0, [0.0]), (0.0, [1.0]), 3, small_noise)
+        rep = flow_continuity_test(p, (0.0, [0.0]), (0.5, [0.0]), noise)
+        assert abs(rep.slope - 1.0) <= 0.15  # E sup|X - X'|^2 ~ |t - t'|
 
 
 class TestStrongOrder:

@@ -13,16 +13,16 @@ from rbdsde.generators import (GeneratorSpec, ProblemSpec, builtin_problem,
 from rbdsde.modulus import lipschitz_modulus, majorant_sequence
 from rbdsde.paths import ProcessSample, build_grid, sample_noise
 import rbdsde.solver
-from rbdsde.solver import (ComparisonSetupError, GeneratorEvaluationError,
-                           MajorantGapReport, RegressionBasis, RegressionPlan,
-                           SingularRegressionError, SolutionTriple, SolverConfig,
-                           comparison_experiment, obstacle_values,
+from rbdsde.solver import (GeneratorEvaluationError, MajorantGapReport, RegressionBasis,
+                           RegressionPlan, SingularRegressionError, SolutionTriple,
+                           SolverConfig, comparison_experiment, obstacle_values,
                            picard_gap_vs_majorant, picard_solve, skorokhod_residual,
                            solve_frozen_rbdsde)
 
-BASIS = RegressionBasis(kind="local-polynomial", bins=8, degree=1)
-ALL_BASES = (RegressionBasis(kind="polynomial", degree=2),
-             RegressionBasis(kind="piecewise-constant", bins=8), BASIS)
+BASIS = RegressionBasis(bins=8)
+# a global polynomial is one bin, a piecewise constant degree 0
+ALL_BASES = (RegressionBasis(bins=1, degree=2), RegressionBasis(degree=0, bins=8), BASIS)
+FAMILIES = ("polynomial", "piecewise-constant", "local-polynomial")
 
 
 def brownian_problem(**kwargs):
@@ -42,24 +42,22 @@ def sweep_plan(fwd, basis=BASIS):
 class TestRegression:
     def test_constant_values(self, rng):
         state = rng.normal(size=(400, 1))
-        for basis in (RegressionBasis(kind="polynomial", degree=2),
-                      RegressionBasis(kind="piecewise-constant", bins=8),
-                      RegressionBasis(kind="local-polynomial", bins=4, degree=1)):
+        for basis in (RegressionBasis(bins=1, degree=2), RegressionBasis(degree=0, bins=8),
+                      RegressionBasis(bins=4)):
             fitted = one_node_fit(np.full(400, 2.5), state, basis, 0.0)
             assert np.max(np.abs(fitted - 2.5)) < 1e-10
 
     def test_linear_map_exact(self, rng):
         state = rng.normal(size=(500, 1))
         values = 3.0 * state[:, 0] - 1.0
-        fitted = one_node_fit(values, state, RegressionBasis(kind="polynomial", degree=1), 0.0)
+        fitted = one_node_fit(values, state, RegressionBasis(bins=1, degree=1), 0.0)
         assert np.max(np.abs(fitted - values)) < 1e-10
 
     def test_against_dense_normal_equations(self, rng):
         state = rng.normal(size=(2000, 1))
         values = state[:, 0] ** 2 + 0.1 * rng.normal(size=2000)
-        for basis in (RegressionBasis(kind="polynomial", degree=2),
-                      RegressionBasis(kind="piecewise-constant", bins=16),
-                      RegressionBasis(kind="local-polynomial", bins=8, degree=2)):
+        for basis in (RegressionBasis(bins=1, degree=2), RegressionBasis(degree=0, bins=16),
+                      RegressionBasis(bins=8, degree=2)):
             fitted = one_node_fit(values, state, basis, 1e-8)
             phi = design_matrix(basis, state)
             k = phi.shape[1]
@@ -70,12 +68,12 @@ class TestRegression:
     def test_singular_without_ridge(self):
         state = np.zeros((50, 1))  # constant state duplicates the columns
         with pytest.raises(SingularRegressionError):
-            one_node_fit(np.ones(50), state, RegressionBasis(kind="polynomial", degree=1), 0.0)
+            one_node_fit(np.ones(50), state, RegressionBasis(bins=1, degree=1), 0.0)
 
     def test_needs_enough_paths(self, rng):
         state = rng.normal(size=(3, 1))
         with pytest.raises(ValueError):
-            one_node_fit(np.ones(3), state, RegressionBasis(kind="polynomial", degree=5), 1e-8)
+            one_node_fit(np.ones(3), state, RegressionBasis(bins=1, degree=5), 1e-8)
 
     def test_multi_output_shares_design(self, rng):
         state = rng.normal(size=(300, 1))
@@ -100,7 +98,7 @@ class TestRegressionPlan:
         assert iterations >= 2
         assert len(calls) == small_noise.grid.num_steps - start
 
-    @pytest.mark.parametrize("basis", ALL_BASES, ids=lambda b: b.kind)
+    @pytest.mark.parametrize("basis", ALL_BASES, ids=FAMILIES)
     def test_fit_matches_one_node_regression(self, small_noise, rng, basis):
         # repeated fits must not disturb the cached Gram matrices
         fwd = simulate_forward(brownian_problem(), 0.0, [0.0], small_noise)
@@ -114,15 +112,17 @@ class TestRegressionPlan:
             assert np.array_equal(plan.fit(i, v), ref)
 
     def test_polynomial_is_the_one_bin_local_polynomial(self, small_noise, rng):
-        poly = RegressionBasis(kind="polynomial", degree=2, bins=0)
-        assert poly.bins == 1
-        assert RegressionBasis(kind="piecewise-constant", degree=3, bins=8).degree == 0
+        # a global polynomial is spelled bins=1; the family has no other name
+        for alias in ("polynomial", "piecewise-constant"):
+            with pytest.raises(ValueError, match="unknown basis kind"):
+                RegressionBasis(kind=alias)
         xs = simulate_forward(brownian_problem(), 0.0, [0.0], small_noise).paths.values
-        local = RegressionBasis(kind="local-polynomial", degree=2, bins=1)
-        plans = [RegressionPlan(b, xs, SolverConfig().ridge) for b in (poly, local)]
-        values = rng.normal(size=(small_noise.num_paths, 2))
-        for i in range(small_noise.grid.num_steps):
-            assert np.array_equal(plans[0].fit(i, values), plans[1].fit(i, values))
+        plan = RegressionPlan(RegressionBasis(bins=1, degree=2), xs, 0.0)
+        values = rng.normal(size=small_noise.num_paths)
+        for i in range(1, small_noise.grid.num_steps):
+            raw = np.column_stack([xs[:, i, 0] ** k for k in range(3)])
+            coef, *_ = np.linalg.lstsq(raw, values, rcond=None)
+            assert np.max(np.abs(plan.fit(i, values) - raw @ coef)) < 1e-10
 
     def test_fresh_plan_equals_partly_fitted_plan(self, small_noise):
         # a plan that has already fitted the later nodes builds the rest on demand
@@ -141,8 +141,8 @@ class TestRegressionPlan:
         for a, b in ((sol.y, ref.y), (sol.z, ref.z), (sol.k, ref.k)):
             assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("basis", [RegressionBasis(kind="polynomial", degree=1), BASIS],
-                             ids=lambda b: b.kind)
+    @pytest.mark.parametrize("basis", [RegressionBasis(bins=1), BASIS],
+                             ids=["polynomial", "local-polynomial"])
     def test_singular_start_node_named(self, small_noise, basis):
         # every path starts at one state, so the start node's design is singular;
         # nodes count from the first node of the solve's grid
@@ -184,7 +184,7 @@ class TestBackwardScheme:
         p = dataclasses.replace(p, terminal=lambda x: np.full(len(x), 2.5),
                                 obstacle=lambda t, x: np.full(len(x), 2.5))
         # bin means reproduce constants exactly, even at the degenerate start
-        basis = RegressionBasis(kind="piecewise-constant", bins=8)
+        basis = RegressionBasis(degree=0, bins=8)
         sol, _, _ = picard_solve(p, simulate_forward(p, 0.0, [0.0], small_noise),
                                  small_noise, basis, SolverConfig(ridge=0.0))
         assert np.max(np.abs(sol.y.values - 2.5)) < 1e-12
@@ -203,7 +203,7 @@ class TestBackwardScheme:
         grid = build_grid(1.0, 32)
         noise = sample_noise(grid, 8000, seed=22)
         fwd = simulate_forward(p, 0.0, [0.0], noise)
-        sol, _, _ = picard_solve(p, fwd, noise, RegressionBasis(kind="polynomial", degree=3),
+        sol, _, _ = picard_solve(p, fwd, noise, RegressionBasis(bins=1, degree=3),
                                  SolverConfig(picard_tol=1e-8))
         ref = implicit_linear_reference(p, fwd, noise, degree=3, a=0.25, b_coef=0.2)
         gap = abs(float(np.mean(sol.y.values[:, 0, 0])) - float(np.mean(ref[:, 0])))
@@ -254,7 +254,7 @@ class TestBackwardScheme:
         # from node 1 on, where the paths have spread and ridge 0 is regular
         rest = noise.from_node(1)
         tail = ForwardEnsemble(ProcessSample(rest.grid, fwd.paths.values[:, 1:]))
-        sol, _, _ = picard_solve(p, tail, rest, RegressionBasis(kind="polynomial", degree=3),
+        sol, _, _ = picard_solve(p, tail, rest, RegressionBasis(bins=1, degree=3),
                                  SolverConfig(ridge=0.0))
         ref = plain_bsde_reference(p, fwd, noise, degree=3)
         assert np.max(np.abs(sol.y.values[:, :, 0] - ref[:, 1:])) < 1e-10
@@ -342,9 +342,7 @@ def solved_put():
     grid = build_grid(p.horizon, 50)
     noise = sample_noise(grid, 8000, seed=2024)
     fwd = simulate_forward(p, 0.0, p.spot, noise)
-    sol, _, _ = picard_solve(p, fwd, noise, RegressionBasis(kind="local-polynomial",
-                                                            bins=16, degree=1),
-                             SolverConfig())
+    sol, _, _ = picard_solve(p, fwd, noise, RegressionBasis(), SolverConfig())
     return p, fwd, sol
 
 
@@ -419,7 +417,7 @@ class TestReflection:
         p, fwd, sol = solved_put
         obstacle = obstacle_values(p, fwd)
         residual = skorokhod_residual(sol, obstacle)
-        bound = 1e-2 * empirical_norm(sol.y, "S2") * float(np.mean(sol.k.values[:, -1, 0]))
+        bound = 1e-2 * empirical_norm(sol.y) * float(np.mean(sol.k.values[:, -1, 0]))
         assert residual <= bound
 
     def test_no_obstacle_residual(self, small_noise):
@@ -461,27 +459,22 @@ class TestComparison:
                                              ("generator", 0.5)])
     def test_ordered_fixtures(self, comparison_setup, kind, amount):
         p, fwd, noise = comparison_setup
-        rep = comparison_experiment(p, shifted_problem(p, kind, amount),
-                                    fwd, noise, BASIS, SolverConfig())
+        rep = comparison_experiment(p, kind, amount, fwd, noise, BASIS, SolverConfig())
         assert rep.within()
         assert rep.both_converged
 
     def test_identical_problems(self, comparison_setup):
+        # a shift by 0 solves the problem twice on the same noise
         p, fwd, noise = comparison_setup
-        rep = comparison_experiment(p, p, fwd, noise, BASIS, SolverConfig())
+        rep = comparison_experiment(p, "terminal", 0.0, fwd, noise, BASIS, SolverConfig())
         assert rep.max_mean_positive_part == 0.0
 
     def test_precondition_violation(self, comparison_setup):
+        # a negative shift would order the pair the wrong way
         p, fwd, noise = comparison_setup
-        lower = shifted_problem(p, "terminal", -1.0)  # ordered the wrong way
-        with pytest.raises(ComparisonSetupError):
-            comparison_experiment(p, lower, fwd, noise, BASIS, SolverConfig())
-
-    def test_different_forwards_rejected(self, comparison_setup):
-        p, fwd, noise = comparison_setup
-        other = dataclasses.replace(p, drift=lambda x: x)
-        with pytest.raises(ComparisonSetupError):
-            comparison_experiment(p, other, fwd, noise, BASIS, SolverConfig())
+        for amount in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="shift amount must be >= 0"):
+                comparison_experiment(p, "terminal", amount, fwd, noise, BASIS, SolverConfig())
 
     def test_node_statistics_sum_in_path_order(self):
         # np.mean and np.std of path-major copies, on a case whose positive
@@ -490,7 +483,7 @@ class TestComparison:
         noise = sample_noise(build_grid(p.horizon, 20), 3000, seed=5)
         fwd = simulate_forward(p, 0.0, p.spot, noise)
         upper = shifted_problem(p, "terminal", 0.01)
-        rep = comparison_experiment(p, upper, fwd, noise, BASIS, SolverConfig())
+        rep = comparison_experiment(p, "terminal", 0.01, fwd, noise, BASIS, SolverConfig())
         ys = [np.ascontiguousarray(picard_solve(q, fwd, noise, BASIS, SolverConfig())[0]
                                    .y.values[:, :, 0]) for q in (p, upper)]
         diff = ys[0] - ys[1]
